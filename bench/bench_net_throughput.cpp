@@ -143,10 +143,13 @@ void BM_Net_Burst(benchmark::State& state) {
   }
   state.counters["decode_errors"] = static_cast<double>(st.decode_errors);
   if (state.range(1) == 1) {
-    const net::RelStats rs = sys[0]->rel_stats();
-    state.counters["rel_retransmits"] = static_cast<double>(rs.retransmits);
-    state.counters["rel_acks_sent"] = static_cast<double>(rs.acks_sent);
-    state.counters["rel_dup_frames"] = static_cast<double>(rs.dup_frames);
+    // Retransmissions happen at the sender; acks and duplicate frames are
+    // seen by the receiver.
+    const net::RelStats sender = sys[0]->rel_stats();
+    const net::RelStats receiver = sys[1]->rel_stats();
+    state.counters["rel_retransmits"] = static_cast<double>(sender.retransmits);
+    state.counters["rel_acks_sent"] = static_cast<double>(receiver.acks_sent);
+    state.counters["rel_dup_frames"] = static_cast<double>(receiver.dup_frames);
   }
 }
 BENCHMARK(BM_Net_Burst)

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include "rt/runtime.h"
+#include "net/net_system.h"
 #include "sim/system.h"
 
 namespace hds::chaos {
@@ -99,20 +99,22 @@ void FaultInjector::arm(System& sys) {
   }
 }
 
-void FaultInjector::arm(RtSystem& sys) {
-  sys.set_interposer(this);
-  crash_fn_ = [&sys](ProcIndex i, const std::string&) { sys.crash(i); };
-  alive_fn_ = [&sys](ProcIndex i) { return !sys.is_crashed(i); };
+void FaultInjector::arm(std::span<const std::unique_ptr<net::NetSystem>> cluster) {
+  std::vector<net::NetSystem*> nodes;
+  for (const auto& node : cluster) {
+    node->set_interposer(this);
+    nodes.push_back(node.get());
+  }
+  crash_fn_ = [nodes](ProcIndex i, const std::string&) { nodes.at(i)->crash(); };
+  alive_fn_ = [nodes](ProcIndex i) { return !nodes.at(i)->is_crashed(); };
   std::vector<std::pair<SimTime, ProcIndex>> at_clauses;
   for (const FaultClause& c : plan_.clauses) {
     if (c.kind == ClauseKind::kCrashAt) at_clauses.emplace_back(c.at, c.proc);
   }
   if (at_clauses.empty()) return;
   std::sort(at_clauses.begin(), at_clauses.end());
-  // Clause times are milliseconds from arm() on this substrate. The thread
-  // captures &sys: construct the injector before the RtSystem (or stop the
-  // system before destroying the injector) so joining is safe.
-  rt_crash_thread_ = std::jthread([this, &sys, at_clauses](std::stop_token st) {
+  // Clause times are milliseconds from arm() on this substrate.
+  crash_at_thread_ = std::jthread([this, nodes, at_clauses](std::stop_token st) {
     using Clock = std::chrono::steady_clock;
     const auto epoch = Clock::now();
     for (const auto& [at, victim] : at_clauses) {
@@ -122,7 +124,7 @@ void FaultInjector::arm(RtSystem& sys) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       if (st.stop_requested()) return;
-      sys.crash(victim);
+      nodes.at(victim)->crash();
       std::lock_guard lk(mu_);
       ++stats_.crashes_injected;
       stats_.crash_log.push_back("crash-at victim=" + std::to_string(victim) +

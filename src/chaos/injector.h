@@ -1,7 +1,7 @@
 // FaultInjector — executes a FaultPlan against either substrate.
 //
 // The injector is a LinkInterposer (link clauses are applied per copy, on
-// the simulator's Network or the thread runtime's broadcast path) plus a
+// the simulator's Network or every NetSystem node's send path) plus a
 // set of effectors for the crash clauses: fixed-instant crashes are
 // scheduled through the substrate's own mechanism, and event-triggered
 // crashes ride the FdOutputListener hooks — the injector chains itself in
@@ -12,8 +12,9 @@
 // Determinism: all randomness (loss, duplication, jitter) comes from one
 // seeded Rng owned by the injector; on the simulator the whole run is
 // therefore a pure function of (case config, plan, seed). Thread safety:
-// every mutable member is guarded by one mutex, because on the rt substrate
-// on_copy and the listener callbacks arrive on node threads. Crash
+// every mutable member is guarded by one mutex, because on an in-process
+// NetSystem cluster on_copy and the listener callbacks arrive on the
+// nodes' threads. Crash
 // effectors are invoked outside the lock (lock order: injector mutex before
 // any substrate lock, never the reverse).
 #pragma once
@@ -22,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,8 +37,11 @@
 
 namespace hds {
 class System;
-class RtSystem;
 }  // namespace hds
+
+namespace hds::net {
+class NetSystem;
+}  // namespace hds::net
 
 namespace hds::chaos {
 
@@ -64,11 +69,15 @@ class FaultInjector final : public LinkInterposer {
 
   // Attaches to a substrate: installs the interposer and the crash
   // effectors, and schedules kCrashAt clauses. Call before start(); the
-  // injector must outlive the system (declare it before the system, or on
-  // the rt substrate *construct* it first so destruction joins the crash
-  // thread after the system stopped).
+  // injector must outlive the system (declare it before the system).
   void arm(System& sys);
-  void arm(RtSystem& sys);
+  // In-process NetSystem cluster, node i at cluster[i]: the injector becomes
+  // every node's interposer, a crash calls node i's crash(), and kCrashAt
+  // clause times are wall-clock milliseconds from arm(), driven by the
+  // injector's own thread. Every kCrashAt clause must have fired before the
+  // cluster is destroyed (that thread holds the nodes until the injector's
+  // destructor joins it).
+  void arm(std::span<const std::unique_ptr<net::NetSystem>> cluster);
 
   // Listener chaining for process i: returns a listener that forwards every
   // event to `inner` (may be null) and then evaluates trigger clauses.
@@ -102,7 +111,7 @@ class FaultInjector final : public LinkInterposer {
   // Substrate effectors (set by arm()).
   std::function<void(ProcIndex, const std::string&)> crash_fn_;
   std::function<bool(ProcIndex)> alive_fn_;
-  std::jthread rt_crash_thread_;  // kCrashAt driver on the rt substrate
+  std::jthread crash_at_thread_;  // fires kCrashAt clauses on a NetSystem cluster
 };
 
 }  // namespace hds::chaos

@@ -1,17 +1,19 @@
-// Link-level fault-interposition seam shared by both substrates.
+// Link-level fault-interposition seam shared by the substrates.
 //
 // A LinkInterposer sees every per-destination copy at the moment it is put
 // on the wire and returns a verdict: drop it, inflate its latency, or
-// inject trailing duplicate copies. The simulator's Network and the thread
-// runtime's mailbox path both consult an installed interposer; when none is
-// installed the cost is a single null check, so runs without a fault plan
-// pay nothing. The chaos subsystem (src/chaos/) is the intended
-// implementation — this header exists so neither engine depends on it.
+// inject trailing duplicate copies. The simulator's Network and NetSystem's
+// send path both consult an installed interposer; when none is installed
+// the cost is a single null check, so runs without a fault plan pay
+// nothing. The chaos subsystem (src/chaos/) is the intended implementation
+// — this header exists so neither substrate depends on it.
 //
 // Call context: the simulator calls from the event loop (single-threaded);
-// the thread runtime calls from whichever node thread is broadcasting.
-// Implementations must synchronize internally and be deterministic as a
-// function of (seed, call order) so failing runs replay exactly.
+// NetSystem calls from its node thread (broadcasts) and, with reliability
+// on, from its ARQ thread (retransmissions), and an in-process cluster may
+// share one interposer across nodes. Implementations must synchronize
+// internally and be deterministic as a function of (seed, call order) so
+// failing runs replay exactly.
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "chaos/injector.h"
 #include "common/rng.h"
@@ -205,8 +206,9 @@ Fig6Result run_fig6(const Fig6Params& p) {
       }
     }
   }
-  res.broadcasts = sys.net_stats().broadcasts;
-  res.copies_delivered = sys.net_stats().copies_delivered;
+  const NetworkStats net = sys.net_stats();
+  res.broadcasts = net.broadcasts;
+  res.copies_delivered = net.copies_delivered;
   if (p.metrics != nullptr && res.stabilization_time >= 0) {
     p.metrics->gauge("fd_stabilization_time").set(res.stabilization_time);
   }
@@ -342,9 +344,10 @@ ConsensusRunResult finish_result(System& sys, const std::vector<Value>& proposal
     }
   }
   res.check = check_consensus(GroundTruth::from(sys), proposals, decisions);
-  res.broadcasts = sys.net_stats().broadcasts;
-  res.copies_delivered = sys.net_stats().copies_delivered;
-  res.broadcasts_by_type = sys.net_stats().broadcasts_by_type;
+  NetworkStats net = sys.net_stats();
+  res.broadcasts = net.broadcasts;
+  res.copies_delivered = net.copies_delivered;
+  res.broadcasts_by_type = std::move(net.broadcasts_by_type);
   res.end_time = loop.end_time;
   if (sys.trace().enabled()) {
     res.trace_head = sys.trace().dump(400);

@@ -12,8 +12,9 @@
 // The online property monitors (obs/monitor.h) are the intended consumer.
 //
 // Callback context: on the simulator, calls happen inside the event loop
-// (single-threaded); on the thread runtime, inside the process's own
-// thread — a listener shared across processes must synchronize internally.
+// (single-threaded); on NetSystem, inside the node's own thread — a
+// listener shared across the nodes of an in-process cluster must
+// synchronize internally.
 #pragma once
 
 #include "common/multiset.h"

@@ -14,8 +14,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 }
 
-// The local process: mailbox (time-ordered) and dispatch thread, the same
-// discipline as RtSystem's per-node state (handlers run only here).
+// The local process: mailbox (time-ordered) and dispatch thread (handlers,
+// timers and queries run only here).
 class NetSystem::Node {
  public:
   explicit Node(NetSystem& sys) : sys_(sys), env_(*this) {}
@@ -63,7 +63,12 @@ class NetSystem::Node {
   }
 
   void request_stop() {
-    thread_.request_stop();
+    {
+      // Under mu_, so run() cannot miss the request between its check and
+      // its wait (a lost wakeup would hang the join).
+      std::lock_guard lk(mu_);
+      thread_.request_stop();
+    }
     cv_.notify_all();
   }
 
@@ -721,7 +726,12 @@ void NetSystem::stop() {
   stopped_ = true;
   node_->request_stop();
   node_->join();
-  stop_flag_.store(true, std::memory_order_relaxed);
+  {
+    // Under send_mu_, so the sender cannot miss the flag between its check
+    // and an unbounded wait (a lost wakeup would hang the join).
+    std::lock_guard lk(send_mu_);
+    stop_flag_.store(true, std::memory_order_relaxed);
+  }
   send_cv_.notify_all();
   rel_cv_.notify_all();
   if (rel_thread_.joinable()) rel_thread_.join();

@@ -1,6 +1,7 @@
 #include "net/reliable.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace hds::net {
 
@@ -210,6 +211,7 @@ std::vector<std::uint8_t> ReliableChannel::wrap_data(ProcIndex to, const std::st
   f.type = type;
   f.inner = inner;
   f.first_sent = now;
+  f.last_sent = now;
   f.rto_ms = current_rto(s);
   f.next_due = now + ms(f.rto_ms);
   const RelHeader h = header_for(to, f.seq, s);
@@ -322,6 +324,23 @@ void ReliableChannel::on_ack(ProcIndex from, std::uint64_t ack_epoch, std::uint6
       obs::inc(m_acked_);
     }
   }
+  if (ack_bits == 0) return;
+  // SACK-driven fast retransmit: a hole with kDupThresh or more later frames
+  // held by the peer is re-sent at the next tick instead of after its
+  // backed-off RTO, at most once per smoothed RTT. Waiting out the backoff
+  // keeps the in-order receiver blocked behind the hole for seconds under
+  // steady loss; reordering shallower than kDupThresh frames or one RTT
+  // triggers nothing.
+  constexpr std::uint64_t kDupThresh = 3;
+  const std::uint64_t highest =
+      ack_cum + 64 - static_cast<std::uint64_t>(std::countl_zero(ack_bits));
+  const auto spacing =
+      ms(std::max<SimTime>(cfg_.rto_min_ms, static_cast<SimTime>(s.srtt_ms + 0.5)));
+  for (Inflight& f : s.window) {
+    if (f.seq + kDupThresh > highest) break;  // ascending seqs
+    if (f.sacked || now - f.last_sent < spacing) continue;
+    f.next_due = std::min(f.next_due, now);
+  }
 }
 
 std::vector<RelSend> ReliableChannel::note_peer_epoch(ProcIndex peer, std::uint64_t epoch,
@@ -350,6 +369,7 @@ std::vector<RelSend> ReliableChannel::note_peer_epoch(ProcIndex peer, std::uint6
     fresh.type = std::move(f.type);
     fresh.inner = std::move(f.inner);
     fresh.first_sent = now;
+    fresh.last_sent = now;
     fresh.rto_ms = current_rto(s);
     fresh.next_due = now + ms(fresh.rto_ms);
     const RelHeader h = header_for(peer, fresh.seq, s);
@@ -389,6 +409,7 @@ std::vector<RelSend> ReliableChannel::tick(RelTime now) {
       f.rto_ms = std::min<SimTime>(f.rto_ms * 2, cfg_.rto_max_ms);
       const SimTime jitter = rng_.uniform(0, std::max<SimTime>(1, f.rto_ms / 4));
       f.next_due = now + ms(f.rto_ms + jitter);
+      f.last_sent = now;
       ++st_.retransmits;
       obs::inc(m_retransmits_);
       out.push_back(RelSend{p, f.type, rel_wrap(f.inner, header_for(p, f.seq, s))});

@@ -9,6 +9,10 @@
 //     clamped to [rto_min, rto_max]) with exponential backoff plus seeded
 //     jitter; RTT samples follow Karn's rule (only frames never
 //     retransmitted time the link);
+//   - a hole the peer's selective ack reports 3 or more later frames past
+//     is fast-retransmitted at the next tick (at most once per smoothed
+//     RTT) instead of waiting out its backed-off RTO, which would hold the
+//     in-order receiver behind it;
 //   - when the window overflows or a frame exhausts its retry budget the
 //     OLDEST frame is abandoned and the link's "lost floor" advances —
 //     the floor rides every later frame so the receiver skips the abandoned
@@ -177,6 +181,7 @@ class ReliableChannel {
     std::string type;
     std::vector<std::uint8_t> inner;  // unwrapped v1 frame; re-wrapped per attempt
     RelTime first_sent{};
+    RelTime last_sent{};  // latest transmission attempt
     RelTime next_due{};
     SimTime rto_ms = 0;
     int attempts = 1;
@@ -239,7 +244,10 @@ class ReliableChannel {
 // verdict's extra delay accumulates the recovery time), and injected
 // duplicates are suppressed (the dedup window would discard them anyway).
 // After max_attempts the copy is dropped for real — the same bounded
-// retry budget / lost-floor degradation the live layer applies.
+// retry budget / lost-floor degradation the live layer applies. The
+// spacing is the RTO path only; the live layer's SACK fast retransmit
+// recovers a hole sooner when later frames get through, so the emulated
+// recovery time is an upper bound.
 //
 // Consumes no randomness of its own, so a chaos case replays byte-identically.
 class ReliableLinkEmulator final : public LinkInterposer {

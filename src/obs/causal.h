@@ -39,7 +39,7 @@ inline constexpr unsigned kCausalNodeShift = 48;
 [[nodiscard]] std::string causal_id_str(std::uint64_t id);
 
 // Per-dispatch causal state. One per serial dispatch context: the simulator
-// owns one (single-threaded event loop), each net/rt node owns one (all
+// owns one (single-threaded event loop), each NetSystem node owns one (all
 // handler dispatch happens on that node's thread). Not thread-safe.
 struct CausalSession {
   std::uint64_t base = 0;    // causal_node_base(cluster node index)

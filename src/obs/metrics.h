@@ -1,11 +1,11 @@
 // Unified metrics layer shared by both substrates (sim::System and
-// rt::RtSystem) and by the detector / consensus instruments.
+// net::NetSystem) and by the detector / consensus instruments.
 //
 // Design constraints, in order:
 //  - zero cost when disabled: every instrumentation site holds a nullable
 //    instrument pointer and goes through the obs::inc / obs::set /
 //    obs::observe helpers, so a run without a registry pays one null check;
-//  - safe under the thread runtime: instrument updates are relaxed atomics
+//  - safe under real threads: instrument updates are relaxed atomics
 //    (counters are monotonic aggregates, so relaxed ordering suffices);
 //    instrument *creation* is mutex-guarded and returns stable references —
 //    a registry never deletes or moves an instrument while alive;

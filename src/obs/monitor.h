@@ -28,7 +28,7 @@
 //
 // The monitor is observer machinery: it never feeds anything back into the
 // run. It is internally synchronized, so the per-process listeners may be
-// driven from rt::RtSystem threads as well as from the simulator loop.
+// driven from NetSystem node threads as well as from the simulator loop.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +75,7 @@ struct MonitorConfig {
   // When set, mirrored monitor events carry the lineage id of the event
   // being dispatched when the rule fired, so causal_chain() can explain a
   // violation by its message ancestry. Single-threaded dispatch only (the
-  // simulator loop); leave null when listeners run on rt threads.
+  // simulator loop); leave null when listeners run on NetSystem threads.
   const CausalSession* causal = nullptr;
 };
 

@@ -29,7 +29,7 @@ namespace hds::obs {
 struct TraceExportMeta {
   std::vector<Id> ids;         // ids[i] names thread i; may be empty
   std::uint64_t dropped = 0;   // ring evictions (TraceLog::dropped())
-  std::string label;           // free-form run description
+  std::string label{};         // free-form run description
 };
 
 // Chrome trace-event format (JSON object form). SimTime ticks map 1:1 to

@@ -28,7 +28,7 @@
 // Like the monitor, this is observer machinery: it never feeds back into
 // the run, consumes no RNG, and leaves schedules byte-identical whether
 // attached or not (pinned by the GoldenTrace tests). Internally
-// synchronized, so listeners may be driven from rt/net node threads.
+// synchronized, so listeners may be driven from NetSystem node threads.
 #pragma once
 
 #include <cstdint>

@@ -26,7 +26,7 @@ struct Message {
   ProcIndex meta_sender = 0;
   SimTime meta_sent_at = 0;
   // Estimated v1 wire-frame size of this message (net/codec.h); 0 when the
-  // type has no registered codec. Filled in by the substrate so sim/rt/net
+  // type has no registered codec. Filled in by the substrate so sim and net
   // report comparable byte costs. Instrumentation only, like meta_sender.
   // Deliberately excludes the optional causal-context frame extension so
   // byte accounting is identical with tracing on or off.

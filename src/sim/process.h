@@ -2,9 +2,9 @@
 //
 // A process initially knows only its own identifier (no membership, no n,
 // no t — unless an algorithm is explicitly given them, as Fig. 8 is given n
-// and t). Both the discrete-event simulator (sim::System) and the thread
-// runtime (rt::RtSystem) implement Env and drive Process objects, so every
-// algorithm in this library runs unchanged on either engine.
+// and t). Both the discrete-event simulator (sim::System) and the UDP
+// substrate (net::NetSystem) implement Env and drive Process objects, so
+// every algorithm in this library runs unchanged on either engine.
 #pragma once
 
 #include "common/types.h"

@@ -334,26 +334,26 @@ ShardRunStats System::shard_stats() const {
   return out;
 }
 
-const NetworkStats& System::net_stats() const {
-  merged_stats_ = NetworkStats{};
+NetworkStats System::net_stats() const {
+  NetworkStats merged;
   for (const auto& sh : shards_vec_) {
     const NetworkStats& s = sh->net->stats();
-    merged_stats_.broadcasts += s.broadcasts;
-    merged_stats_.copies_sent += s.copies_sent;
-    merged_stats_.copies_delivered += s.copies_delivered;
-    merged_stats_.copies_lost_link += s.copies_lost_link;
-    merged_stats_.copies_lost_dying_sender += s.copies_lost_dying_sender;
-    merged_stats_.copies_duplicated += s.copies_duplicated;
-    merged_stats_.copies_to_dead += s.copies_to_dead;
-    merged_stats_.bytes_sent += s.bytes_sent;
-    merged_stats_.bytes_received += s.bytes_received;
-    merged_stats_.latency_sum += s.latency_sum;
-    merged_stats_.latency_max = std::max(merged_stats_.latency_max, s.latency_max);
+    merged.broadcasts += s.broadcasts;
+    merged.copies_sent += s.copies_sent;
+    merged.copies_delivered += s.copies_delivered;
+    merged.copies_lost_link += s.copies_lost_link;
+    merged.copies_lost_dying_sender += s.copies_lost_dying_sender;
+    merged.copies_duplicated += s.copies_duplicated;
+    merged.copies_to_dead += s.copies_to_dead;
+    merged.bytes_sent += s.bytes_sent;
+    merged.bytes_received += s.bytes_received;
+    merged.latency_sum += s.latency_sum;
+    merged.latency_max = std::max(merged.latency_max, s.latency_max);
     for (const auto& [type, count] : s.broadcasts_by_type) {
-      merged_stats_.broadcasts_by_type[type] += count;
+      merged.broadcasts_by_type[type] += count;
     }
   }
-  return merged_stats_;
+  return merged;
 }
 
 void System::deliver(std::size_t shard, ProcIndex to, const std::shared_ptr<const Message>& m) {

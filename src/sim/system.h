@@ -138,10 +138,9 @@ class System {
   // The run's scheduler. Only meaningful on an unsharded system (the chaos
   // injector and tests push raw events through it); throws at shards > 1.
   [[nodiscard]] Scheduler& scheduler();
-  // Per-shard network statistics merged into one view (a plain reference to
-  // the single network's stats when shards == 1 would be identical — the
-  // merge is associative and commutative).
-  [[nodiscard]] const NetworkStats& net_stats() const;
+  // Per-shard network statistics merged into one snapshot (the merge is
+  // associative and commutative, so any shard count gives the same view).
+  [[nodiscard]] NetworkStats net_stats() const;
   [[nodiscard]] const TraceLog& trace() const { return trace_; }
   [[nodiscard]] obs::MetricsRegistry* metrics() const { return metrics_; }
   [[nodiscard]] std::size_t shards() const { return shards_; }
@@ -211,7 +210,6 @@ class System {
   std::vector<TraceSink::Keyed> merge_buf_;
   ShardRunStats run_stats_;
   SimTime last_window_end_ = 0;
-  mutable NetworkStats merged_stats_;
   std::vector<std::unique_ptr<Process>> procs_;
   std::vector<std::unique_ptr<NodeEnv>> envs_;
   bool started_ = false;

@@ -72,7 +72,7 @@ class PartialSyncTiming final : public TimingModel {
     double pre_gst_loss = 0.0;  // per-copy loss probability before GST
     SimTime pre_gst_max_delay = 1;  // max (finite) delay of surviving pre-GST copies
     // Per-directed-link pre-GST overrides, keyed (from, to).
-    std::map<std::pair<ProcIndex, ProcIndex>, LinkOverride> pre_gst_links;
+    std::map<std::pair<ProcIndex, ProcIndex>, LinkOverride> pre_gst_links{};
   };
   explicit PartialSyncTiming(Params p);
   std::optional<SimTime> delivery_at(SimTime sent, ProcIndex from, ProcIndex to,

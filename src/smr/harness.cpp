@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "chaos/injector.h"
 #include "consensus/harness.h"
@@ -118,8 +119,9 @@ SmrSimResult run_smr_sim(const SmrSimParams& p) {
   SmrSimResult res;
   res.converged = correct_converged();
   res.end_time = sys.now();
-  res.broadcasts = sys.net_stats().broadcasts;
-  res.broadcasts_by_type = sys.net_stats().broadcasts_by_type;
+  NetworkStats net = sys.net_stats();
+  res.broadcasts = net.broadcasts;
+  res.broadcasts_by_type = std::move(net.broadcasts_by_type);
 
   std::vector<SimTime> lats;
   for (ProcIndex i = 0; i < n; ++i) {

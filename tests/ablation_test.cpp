@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "consensus/harness.h"
+#include "support/valid_params.h"
 
 namespace hds {
 namespace {
@@ -28,7 +29,6 @@ struct AlphaSweep
 TEST_P(AlphaSweep, FootnoteFiveHolds) {
   auto [n, crash_k, seed] = GetParam();
   const std::size_t alpha = n / 2 + 1;
-  if (n - crash_k < alpha) GTEST_SKIP();  // alpha correct processes required
   Fig8OracleParams p;
   p.ids = ids_homonymous(n, (n + 1) / 2, seed + 1);
   p.alpha = alpha;
@@ -40,10 +40,13 @@ TEST_P(AlphaSweep, FootnoteFiveHolds) {
   EXPECT_TRUE(r.check.ok) << r.check.detail;
 }
 
+// alpha = n/2 + 1 correct processes are required.
 INSTANTIATE_TEST_SUITE_P(Sweep, AlphaSweep,
-                         ::testing::Combine(::testing::Values<std::size_t>(4, 6, 9),
-                                            ::testing::Values<std::size_t>(0, 1, 2),
-                                            ::testing::Values<std::uint64_t>(1, 2)));
+                         ::testing::ValuesIn(valid_tuples<AlphaSweep::ParamType>(
+                             [](std::size_t n, std::size_t crash_k, auto...) {
+                               return n - crash_k >= n / 2 + 1;
+                             },
+                             {4, 6, 9}, {0, 1, 2}, {1, 2})));
 
 // ----------------------------------- ablation: Leaders' Coordination Phase
 

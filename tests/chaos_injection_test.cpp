@@ -139,7 +139,7 @@ TEST(ChaosInjection, DuplicateClauseInjectsTrailingCopies) {
   // One broadcast, two links, each copy followed by 2 duplicates.
   EXPECT_EQ(fx->probes[0]->arrivals.size(), 3u);
   EXPECT_EQ(fx->probes[1]->arrivals.size(), 3u);
-  const NetworkStats& st = fx->sys.net_stats();
+  const NetworkStats st = fx->sys.net_stats();
   EXPECT_EQ(st.copies_sent, 2u);
   EXPECT_EQ(st.copies_duplicated, 4u);
   EXPECT_EQ(st.copies_delivered, 6u);
@@ -159,7 +159,7 @@ TEST(ChaosInjection, DyingSenderLossIsAccountedSeparatelyFromLinkLoss) {
   fx->sys.start();
   fx->sys.run_until(100);
 
-  const NetworkStats& st = fx->sys.net_stats();
+  const NetworkStats st = fx->sys.net_stats();
   EXPECT_EQ(st.copies_lost_dying_sender, 3u);
   EXPECT_EQ(st.copies_lost_link, 0u);
   EXPECT_EQ(st.copies_lost(), 3u);

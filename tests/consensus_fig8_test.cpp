@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "consensus/harness.h"
+#include "support/valid_params.h"
 
 namespace hds {
 namespace {
@@ -127,7 +128,6 @@ struct Fig8Sweep : ::testing::TestWithParam<
 
 TEST_P(Fig8Sweep, Theorem7Holds) {
   auto [n, distinct, crash_k, fd_stab, seed] = GetParam();
-  if (distinct > n || 2 * crash_k >= n) GTEST_SKIP();
   Fig8OracleParams p;
   p.ids = ids_homonymous(n, distinct, 7 * seed + n);
   p.t_known = crash_k;
@@ -140,11 +140,11 @@ TEST_P(Fig8Sweep, Theorem7Holds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Fig8Sweep,
-                         ::testing::Combine(::testing::Values<std::size_t>(3, 5, 8),
-                                            ::testing::Values<std::size_t>(1, 2, 5),
-                                            ::testing::Values<std::size_t>(0, 1, 3),
-                                            ::testing::Values<SimTime>(0, 90),
-                                            ::testing::Values<std::uint64_t>(1, 2)));
+                         ::testing::ValuesIn(valid_tuples<Fig8Sweep::ParamType>(
+                             [](std::size_t n, std::size_t distinct, std::size_t crash_k, auto...) {
+                               return distinct <= n && 2 * crash_k < n;
+                             },
+                             {3, 5, 8}, {1, 2, 5}, {0, 1, 3}, {0, 90}, {1, 2})));
 
 }  // namespace
 }  // namespace hds

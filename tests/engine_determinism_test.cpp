@@ -507,7 +507,7 @@ TEST(ShardedEngine, ThousandProcessHeartbeatMeshCompletes) {
   for (ProcIndex i = 0; i < kN; ++i) sys.set_process(i, std::make_unique<Heartbeat>());
   sys.start();
   sys.run_until(100);  // rounds at t=0 and t=64: ~2M deliveries
-  const NetworkStats& st = sys.net_stats();
+  const NetworkStats st = sys.net_stats();
   EXPECT_GE(st.broadcasts, 2 * kN);
   EXPECT_GT(st.copies_delivered, static_cast<std::uint64_t>(kN) * kN);
   EXPECT_EQ(sys.shard_stats().lookahead_violations, 0u);

@@ -19,6 +19,7 @@
 #include <tuple>
 
 #include "consensus/harness.h"
+#include "support/valid_params.h"
 
 namespace hds {
 namespace {
@@ -50,7 +51,6 @@ struct Fig8StackSweep
 
 TEST_P(Fig8StackSweep, ConsensusUnderHPS) {
   auto [n, distinct, crash_k, seed] = GetParam();
-  if (distinct > n || 2 * crash_k >= n) GTEST_SKIP();
   Fig8FullStackParams p;
   p.ids = ids_homonymous(n, distinct, seed + 3);
   p.t_known = crash_k;
@@ -63,10 +63,11 @@ TEST_P(Fig8StackSweep, ConsensusUnderHPS) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Fig8StackSweep,
-                         ::testing::Combine(::testing::Values<std::size_t>(3, 5),
-                                            ::testing::Values<std::size_t>(1, 2, 5),
-                                            ::testing::Values<std::size_t>(0, 2),
-                                            ::testing::Values<std::uint64_t>(1, 2)));
+                         ::testing::ValuesIn(valid_tuples<Fig8StackSweep::ParamType>(
+                             [](std::size_t n, std::size_t distinct, std::size_t crash_k, auto...) {
+                               return distinct <= n && 2 * crash_k < n;
+                             },
+                             {3, 5}, {1, 2, 5}, {0, 2}, {1, 2})));
 
 TEST(FullStackFig9, SynchronousAnyNumberOfCrashes) {
   Fig9FullStackParams p;
@@ -107,7 +108,6 @@ struct Fig9StackSweep
 
 TEST_P(Fig9StackSweep, ConsensusUnderSynchrony) {
   auto [n, crash_k, anonymous, seed] = GetParam();
-  if (crash_k >= n) GTEST_SKIP();
   Fig9FullStackParams p;
   p.ids = anonymous ? ids_anonymous(n) : ids_homonymous(n, (n + 1) / 2, seed + 1);
   if (crash_k > 0) p.crashes = crashes_last_k(n, crash_k, 31, 13);
@@ -120,10 +120,9 @@ TEST_P(Fig9StackSweep, ConsensusUnderSynchrony) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Fig9StackSweep,
-                         ::testing::Combine(::testing::Values<std::size_t>(3, 5),
-                                            ::testing::Values<std::size_t>(0, 2, 4),
-                                            ::testing::Bool(),
-                                            ::testing::Values<std::uint64_t>(1, 2)));
+                         ::testing::ValuesIn(valid_tuples<Fig9StackSweep::ParamType>(
+                             [](std::size_t n, std::size_t crash_k, auto...) { return crash_k < n; },
+                             {3, 5}, {0, 2, 4}, {false, true}, {1, 2})));
 
 }  // namespace
 }  // namespace hds

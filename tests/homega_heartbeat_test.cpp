@@ -12,6 +12,7 @@
 #include "consensus/majority_homega.h"
 #include "sim/stacked_process.h"
 #include "spec/fd_checkers.h"
+#include "support/valid_params.h"
 
 namespace hds {
 namespace {
@@ -79,7 +80,6 @@ struct HbSweep : ::testing::TestWithParam<std::tuple<std::size_t, std::size_t, s
 
 TEST_P(HbSweep, ElectionHoldsAcrossTheSpectrum) {
   auto [n, distinct, crash_k, seed] = GetParam();
-  if (distinct > n || crash_k >= n) GTEST_SKIP();
   auto r = run_hb(ids_homonymous(n, distinct, 7 * seed + 1), crashes_last_k(n, crash_k, 50, 13),
                   std::make_unique<PartialSyncTiming>(PartialSyncTiming::Params{
                       .gst = 90, .delta = 3, .pre_gst_loss = 0.3, .pre_gst_max_delay = 30}),
@@ -89,10 +89,11 @@ TEST_P(HbSweep, ElectionHoldsAcrossTheSpectrum) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, HbSweep,
-                         ::testing::Combine(::testing::Values<std::size_t>(3, 6),
-                                            ::testing::Values<std::size_t>(1, 2, 6),
-                                            ::testing::Values<std::size_t>(0, 2),
-                                            ::testing::Values(1, 2)));
+                         ::testing::ValuesIn(valid_tuples<HbSweep::ParamType>(
+                             [](std::size_t n, std::size_t distinct, std::size_t crash_k, auto...) {
+                               return distinct <= n && crash_k < n;
+                             },
+                             {3, 6}, {1, 2, 6}, {0, 2}, {1, 2})));
 
 TEST(HOmegaHeartbeat, DrivesFig8Consensus) {
   // Full alternative stack: heartbeat HΩ under the Fig. 8 algorithm.

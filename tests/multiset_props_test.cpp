@@ -70,9 +70,13 @@ TEST_P(MultisetProps, SubsetIsAPartialOrder) {
     auto b = random_multiset(rng, 6, 4);
     auto c = random_multiset(rng, 6, 4);
     // Antisymmetry.
-    if (a.is_subset_of(b) && b.is_subset_of(a)) EXPECT_EQ(a, b);
+    if (a.is_subset_of(b) && b.is_subset_of(a)) {
+      EXPECT_EQ(a, b);
+    }
     // Transitivity.
-    if (a.is_subset_of(b) && b.is_subset_of(c)) EXPECT_TRUE(a.is_subset_of(c));
+    if (a.is_subset_of(b) && b.is_subset_of(c)) {
+      EXPECT_TRUE(a.is_subset_of(c));
+    }
   }
 }
 
@@ -105,7 +109,9 @@ void expect_equivalent(const A& flat, const B& ref) {
     ASSERT_EQ(flat.multiplicity(v), ref.multiplicity(v)) << "value " << v;
     ASSERT_EQ(flat.contains(v), ref.contains(v)) << "value " << v;
   }
-  if (!flat.empty()) ASSERT_EQ(flat.min(), ref.min());
+  if (!flat.empty()) {
+    ASSERT_EQ(flat.min(), ref.min());
+  }
   // counts(): different container types, identical (value, count) sequence.
   std::vector<std::pair<Id, std::size_t>> fc(flat.counts().begin(), flat.counts().end());
   std::vector<std::pair<Id, std::size_t>> rc(ref.counts().begin(), ref.counts().end());

@@ -1,8 +1,10 @@
 // NetSystem integration tests: several NetSystem instances in ONE process,
 // each with its own UDP socket on an ephemeral loopback port, exchanging
 // real datagrams. This covers the substrate (codec + batching + demux +
-// barrier + interposer seam) without fork/exec; the multi-process path is
-// exercised by the net_cluster_fig8 ctest entry (tools/hds_cluster).
+// barrier + interposer seam, timers, crashes, config validation) and the
+// Fig. 8 / Fig. 9 consensus stacks under real concurrency without
+// fork/exec; the multi-process path is exercised by the net_cluster_fig8
+// ctest entry (tools/hds_cluster).
 #include "net/net_system.h"
 
 #include <gtest/gtest.h>
@@ -12,101 +14,33 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/link_fault.h"
-#include "consensus/majority_homega.h"
-#include "fd/impl/alive_ranker.h"
-#include "fd/impl/ohp_polling.h"
+#include "consensus/quorum_homega_hsigma.h"
+#include "fd/oracles.h"
 #include "net/codec.h"
 #include "net/udp.h"
 #include "obs/metrics.h"
-#include "sim/stacked_process.h"
+#include "support/net_cluster.h"
 
 namespace hds::net {
 namespace {
 
 using namespace std::chrono_literals;
 
-// Broadcasts one ALIVE on start (a registered wire type, so it crosses the
-// codec unchanged); counts received copies and remembers the last metadata.
-class PingProcess : public Process {
- public:
-  void on_start(Env& env) override {
-    env.broadcast(make_message(AliveRanker::kMsgType, AliveMsg{env.self_id()}));
-  }
-  void on_message(Env&, const Message& m) override {
-    if (m.type != AliveRanker::kMsgType) return;
-    ++pings;
-    last_wire_bytes = m.meta_wire_bytes;
-  }
-
-  int pings = 0;
-  std::size_t last_wire_bytes = 0;
-};
-
-struct Cluster {
-  std::vector<std::unique_ptr<NetSystem>> sys;
-
-  explicit Cluster(std::size_t n, std::uint64_t seed = 1, bool batching = true,
-                   obs::MetricsRegistry* metrics = nullptr, bool reliable = false) {
-    std::vector<NetPeer> peers(n);
-    for (std::size_t i = 0; i < n; ++i) peers[i].id = static_cast<Id>(i + 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      NetConfig cfg;
-      cfg.self = i;
-      cfg.peers = peers;  // ports resolved below, once every socket is bound
-      cfg.seed = seed + i;
-      cfg.batching = batching;
-      cfg.reliability.enabled = reliable;
-      if (i == 0) cfg.metrics = metrics;
-      sys.push_back(std::make_unique<NetSystem>(std::move(cfg)));
-    }
-    for (auto& s : sys) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == s->self()) continue;  // own endpoint was fixed at bind time
-        s->set_peer_endpoint(j, UdpEndpoint{"127.0.0.1", sys[j]->local_port()});
-      }
-    }
-  }
-
-  bool barrier() {
-    bool ok = true;
-    for (auto& s : sys) ok = s->await_peers(5s) && ok;
-    return ok;
-  }
-
-  void start_all() {
-    for (auto& s : sys) s->start();
-  }
-
-  ~Cluster() {
-    for (auto& s : sys) s->stop();
-  }
-};
-
 TEST(NetSystem, DeliversBroadcastsAcrossRealSockets) {
   constexpr std::size_t kN = 3;
-  Cluster c(kN);
-  std::vector<PingProcess*> procs;
-  for (auto& s : c.sys) {
-    auto p = std::make_unique<PingProcess>();
-    procs.push_back(p.get());
-    s->set_process(std::move(p));
-  }
+  Cluster c({1, 2, 3});
+  const auto procs = install_pings(c);
   ASSERT_TRUE(c.barrier());
   c.start_all();
   for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_TRUE(c.sys[i]->wait_for(
-        [&] {
-          return c.sys[i]->query([&](Process&) { return procs[i]->pings; }) ==
-                 static_cast<int>(kN);
-        },
-        5s))
-        << "node " << i;
+    EXPECT_TRUE(await_pings(*c.sys[i], *procs[i], kN)) << "node " << i;
   }
   // The ALIVE frame really crossed the wire: size metadata matches the codec.
   const Message sample = make_message(AliveRanker::kMsgType, AliveMsg{1});
@@ -126,34 +60,151 @@ TEST(NetSystem, DeliversBroadcastsAcrossRealSockets) {
   EXPECT_GT(s0.packets_received, 0u);
 }
 
+TEST(NetSystem, BroadcastReachesAllNodesIncludingSelf) {
+  constexpr std::size_t kN = 3;
+  Cluster c({1, 2, 3});
+  const auto procs = install_pings(c);
+  for (std::size_t i = 1; i < kN; ++i) procs[i]->ping_on_start = false;
+  ASSERT_TRUE(c.barrier());
+  c.start_all();
+  // Node 0's single broadcast reaches every node, node 0 itself included.
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_TRUE(await_pings(*c.sys[i], *procs[i], 1)) << "node " << i;
+  }
+  std::this_thread::sleep_for(50ms);  // no second copy arrives late
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(pings_of(*c.sys[i], *procs[i]), 1) << "node " << i;
+    EXPECT_EQ(c.sys[i]->net_stats().broadcasts, i == 0 ? 1u : 0u) << "node " << i;
+  }
+}
+
+TEST(NetSystem, NetStatsCountBroadcastsAndDeliveries) {
+  constexpr std::size_t kN = 3;
+  Cluster c({1, 2, 3});
+  const auto procs = install_pings(c);
+  ASSERT_TRUE(c.barrier());
+  c.start_all();
+  // Each node broadcasts once; each copy reaches all 3 nodes.
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_TRUE(await_pings(*c.sys[i], *procs[i], kN));
+  NetNetworkStats total;
+  for (std::size_t i = 0; i < kN; ++i) {
+    const NetNetworkStats s = c.sys[i]->net_stats();
+    EXPECT_EQ(s.broadcasts, 1u) << "node " << i;
+    EXPECT_EQ(s.copies_sent, kN) << "node " << i;
+    EXPECT_EQ(s.copies_delivered, kN) << "node " << i;
+    total.broadcasts += s.broadcasts;
+    total.copies_sent += s.copies_sent;
+    total.copies_delivered += s.copies_delivered;
+    total.copies_lost_link += s.copies_lost_link;
+    total.copies_duplicated += s.copies_duplicated;
+    for (const auto& [type, count] : s.broadcasts_by_type) total.broadcasts_by_type[type] += count;
+  }
+  EXPECT_EQ(total.broadcasts, kN);
+  EXPECT_EQ(total.copies_sent, kN * kN);
+  EXPECT_EQ(total.copies_delivered, kN * kN);
+  EXPECT_EQ(total.copies_lost_link, 0u);
+  EXPECT_EQ(total.copies_duplicated, 0u);
+  EXPECT_EQ(total.broadcasts_by_type[AliveRanker::kMsgType], kN);
+  EXPECT_EQ(total.broadcasts_by_type.size(), 1u);
+}
+
+TEST(NetSystem, ByteCountersTrackEstimatedFrameSizes) {
+  // Every delivered copy carries its exact v1 frame size, and the datagram
+  // byte counters cover at least those frames on both ends of the wire.
+  constexpr std::size_t kN = 3;
+  Cluster c({1, 2, 3}, /*seed=*/1, /*batching=*/false);
+  const auto procs = install_pings(c);
+  ASSERT_TRUE(c.barrier());
+  c.start_all();
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_TRUE(await_pings(*c.sys[i], *procs[i], kN));
+  const auto frame = encoded_frame_size(builtin_codecs(),
+                                        make_message(AliveRanker::kMsgType, AliveMsg{1}), 0, 1);
+  ASSERT_TRUE(frame.has_value());
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(c.sys[i]->query([&](Process&) { return procs[i]->wire_bytes; }), kN * *frame)
+        << "node " << i;
+    const NetNetworkStats s = c.sys[i]->net_stats();
+    EXPECT_GE(s.bytes_sent, kN * *frame) << "node " << i;
+    EXPECT_GE(s.bytes_received, kN * *frame) << "node " << i;
+  }
+}
+
+TEST(NetSystem, TimersFire) {
+  Cluster c({1});
+  auto p = std::make_unique<PingProcess>();
+  p->ping_on_start = false;
+  p->period_ms = 10;
+  const PingProcess* probe = p.get();
+  c.sys[0]->set_process(std::move(p));
+  ASSERT_TRUE(c.barrier());
+  c.start_all();
+  EXPECT_TRUE(c.sys[0]->wait_for(
+      [&] { return c.sys[0]->query([&](Process&) { return probe->timers; }) >= 2; }, 5s));
+}
+
+TEST(NetSystem, CrashedNodeStopsReceiving) {
+  Cluster c({1, 2});
+  const auto procs = install_pings(c);
+  procs[0]->period_ms = 10;  // node 0 keeps broadcasting across the crash
+  ASSERT_TRUE(c.barrier());
+  c.start_all();
+  ASSERT_TRUE(c.sys[1]->wait_for([&] { return pings_of(*c.sys[1], *procs[1]) >= 2; }, 5s));
+
+  c.sys[1]->crash();
+  EXPECT_TRUE(c.sys[1]->is_crashed());
+  EXPECT_FALSE(c.sys[0]->is_crashed());
+  EXPECT_THROW(c.sys[1]->query([](Process&) {}), std::runtime_error);
+  std::this_thread::sleep_for(20ms);  // a handler running at the crash may finish
+  const std::uint64_t delivered_at_crash = c.sys[1]->net_stats().copies_delivered;
+  const std::uint64_t sent_at_crash = c.sys[0]->net_stats().broadcasts;
+
+  // Node 0 keeps broadcasting and hearing itself; node 1's tally stops
+  // moving although the same copies keep arriving at its socket.
+  const int own = pings_of(*c.sys[0], *procs[0]);
+  ASSERT_TRUE(c.sys[0]->wait_for([&] { return pings_of(*c.sys[0], *procs[0]) >= own + 3; }, 5s));
+  EXPECT_GT(c.sys[0]->net_stats().broadcasts, sent_at_crash);
+  EXPECT_EQ(c.sys[1]->net_stats().copies_delivered, delivered_at_crash);
+}
+
+TEST(NetSystem, MetricsRegistryMirrorsNetStats) {
+  constexpr std::size_t kN = 3;
+  obs::MetricsRegistry reg;
+  Cluster c({1, 2, 3}, /*seed=*/1, /*batching=*/true, &reg);
+  const auto procs = install_pings(c);
+  ASSERT_TRUE(c.barrier());
+  c.start_all();
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_TRUE(await_pings(*c.sys[i], *procs[i], kN));
+  const NetNetworkStats s0 = c.sys[0]->net_stats();
+  EXPECT_EQ(reg.counter_total("udp_broadcasts_total"), s0.broadcasts);
+  EXPECT_EQ(reg.counter_total("udp_copies_delivered_total"), s0.copies_delivered);
+  EXPECT_EQ(reg.counter_total("udp_copies_lost_link_total"), s0.copies_lost_link);
+  EXPECT_EQ(reg.counter_total("udp_copies_duplicated_total"), s0.copies_duplicated);
+  EXPECT_EQ(s0.copies_delivered, kN);
+}
+
+TEST(NetSystem, ValidatesConfig) {
+  const auto build = [](auto&& edit) {
+    NetConfig cfg;
+    cfg.peers.resize(2);
+    edit(cfg);
+    NetSystem sys(std::move(cfg));
+  };
+  EXPECT_THROW(build([](NetConfig& cfg) { cfg.peers.clear(); }), std::invalid_argument);
+  EXPECT_THROW(build([](NetConfig& cfg) { cfg.self = 2; }), std::invalid_argument);
+  EXPECT_THROW(build([](NetConfig& cfg) { cfg.flush_interval_ms = -1; }), std::invalid_argument);
+  EXPECT_THROW(build([](NetConfig& cfg) { cfg.max_batch_bytes = 0; }), std::invalid_argument);
+  EXPECT_NO_THROW(build([](NetConfig&) {}));
+}
+
 TEST(NetSystem, Fig8StackDecidesOverLoopbackUdp) {
   constexpr std::size_t kN = 3;
   obs::MetricsRegistry metrics;
-  Cluster c(kN, /*seed=*/7, /*batching=*/true, &metrics);
-  std::vector<MajorityHOmegaConsensus*> cons(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    auto stack = std::make_unique<StackedProcess>();
-    auto* fd = stack->add(std::make_unique<OHPPolling>());
-    MajorityConsensusConfig ccfg;
-    ccfg.n = kN;
-    ccfg.t = 1;
-    ccfg.proposal = static_cast<Value>(100 + i);
-    ccfg.guard_poll = 5;
-    cons[i] = stack->add(std::make_unique<MajorityHOmegaConsensus>(ccfg, *fd));
-    c.sys[i]->set_process(std::move(stack));
-  }
+  Cluster c({1, 2, 3}, /*seed=*/7, /*batching=*/true, &metrics);
+  const auto cons = install_fig8(c, /*t=*/1, /*base=*/100);
   ASSERT_TRUE(c.barrier());
   c.start_all();
-  std::vector<Value> values;
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_TRUE(c.sys[i]->wait_for(
-        [&] {
-          return c.sys[i]->query([&](Process&) { return cons[i]->decision(); }).decided;
-        },
-        30s))
-        << "node " << i << " did not decide";
-    values.push_back(c.sys[i]->query([&](Process&) { return cons[i]->decision(); }).value);
-  }
+  const std::vector<Value> values = await_decisions(c, cons, {0, 1, 2});
+  ASSERT_EQ(values.size(), kN) << "a node did not decide";
   for (const Value v : values) {
     EXPECT_EQ(v, values.front());  // agreement
     EXPECT_GE(v, 100);             // validity: someone proposed it
@@ -163,6 +214,59 @@ TEST(NetSystem, Fig8StackDecidesOverLoopbackUdp) {
   const std::string dump = metrics.to_json();
   EXPECT_NE(dump.find("udp_batch_frames"), std::string::npos);
   EXPECT_NE(dump.find("udp_bytes_sent_total"), std::string::npos);
+}
+
+TEST(NetSystem, Fig8HomonymousStackDecidesThroughACrash) {
+  // Fig. 6 (◇HP̄/HΩ) + Fig. 8 on four nodes with a homonymous pair; node 3
+  // crashes mid-run, within t = 1.
+  Cluster c({1, 1, 2, 3}, /*seed=*/5);
+  const auto cons = install_fig8(c, /*t=*/1, /*base=*/100);
+  ASSERT_TRUE(c.barrier());
+  c.start_all();
+  std::this_thread::sleep_for(30ms);
+  c.sys[3]->crash();
+  const std::vector<Value> values = await_decisions(c, cons, {0, 1, 2});
+  ASSERT_EQ(values.size(), 3u) << "consensus did not terminate among the correct nodes";
+  for (const Value v : values) EXPECT_EQ(v, values.front());
+  EXPECT_GE(values.front(), 100);
+  EXPECT_LE(values.front(), 103);
+}
+
+TEST(NetSystem, Fig9QuorumConsensusWithOracles) {
+  // Fig. 9 over HΩ+HΣ oracles: the oracles read wall-clock milliseconds and
+  // a crash plan the test enacts through node 3's crash().
+  const std::vector<Id> ids = {1, 1, 2, 3};
+  GroundTruth gt;
+  gt.ids = ids;
+  gt.correct = {true, true, true, false};
+  const auto epoch = std::chrono::steady_clock::now();
+  ClockFn clock = [epoch] {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - epoch)
+        .count();
+  };
+  OracleHOmega fd1(gt, clock, /*stabilize_at=*/60);
+  OracleHSigma fd2(gt, clock, /*stabilize_at=*/80);
+
+  Cluster c(ids, /*seed=*/9);
+  std::vector<QuorumConsensus*> cons;
+  for (ProcIndex i = 0; i < ids.size(); ++i) {
+    QuorumConsensusConfig ccfg;
+    ccfg.proposal = static_cast<Value>(500 + i);
+    ccfg.guard_poll = 5;
+    auto proc = std::make_unique<QuorumConsensus>(ccfg, fd1.handle(i), fd2.handle(i));
+    cons.push_back(proc.get());
+    c.sys[i]->set_process(std::move(proc));
+  }
+  ASSERT_TRUE(c.barrier());
+  c.start_all();
+  std::this_thread::sleep_for(25ms);
+  c.sys[3]->crash();
+  const std::vector<Value> values = await_decisions(c, cons, {0, 1, 2});
+  ASSERT_EQ(values.size(), 3u) << "Fig. 9 did not terminate among the correct nodes";
+  for (const Value v : values) EXPECT_EQ(v, values.front());
+  EXPECT_GE(values.front(), 500);
+  EXPECT_LE(values.front(), 503);
 }
 
 // Drops every ALIVE copy from node 0 to node 1; node 1 must still hear
@@ -181,35 +285,28 @@ class DropInterposer : public LinkInterposer {
 };
 
 TEST(NetSystem, InterposerDropsAreCountedAndNotDelivered) {
-  constexpr std::size_t kN = 3;
-  Cluster c(kN);
-  DropInterposer drop;
+  constexpr int kN = 3;
+  DropInterposer drop;  // declared first: node threads call it until ~Cluster
+  Cluster c({1, 2, 3});
   c.sys[0]->set_interposer(&drop);
-  std::vector<PingProcess*> procs;
-  for (auto& s : c.sys) {
-    auto p = std::make_unique<PingProcess>();
-    procs.push_back(p.get());
-    s->set_process(std::move(p));
-  }
+  const auto procs = install_pings(c);
   ASSERT_TRUE(c.barrier());
   c.start_all();
   // Node 2 hears everyone; node 1 must end one short (node 0's copy dropped).
-  EXPECT_TRUE(c.sys[2]->wait_for(
-      [&] {
-        return c.sys[2]->query([&](Process&) { return procs[2]->pings; }) ==
-               static_cast<int>(kN);
-      },
-      5s));
-  EXPECT_TRUE(c.sys[1]->wait_for(
-      [&] {
-        return c.sys[1]->query([&](Process&) { return procs[1]->pings; }) ==
-               static_cast<int>(kN) - 1;
-      },
-      5s));
+  EXPECT_TRUE(await_pings(*c.sys[2], *procs[2], kN));
+  EXPECT_TRUE(await_pings(*c.sys[1], *procs[1], kN - 1));
   std::this_thread::sleep_for(100ms);  // would-be late arrival window
-  EXPECT_EQ(c.sys[1]->query([&](Process&) { return procs[1]->pings; }), static_cast<int>(kN) - 1);
+  EXPECT_EQ(pings_of(*c.sys[1], *procs[1]), kN - 1);
   EXPECT_EQ(drop.dropped.load(), 1);
   EXPECT_EQ(c.sys[0]->net_stats().copies_lost_link, 1u);
+}
+
+TEST(NetSystem, RejectsInterposerInstallAfterStart) {
+  DropInterposer drop;
+  Cluster c({1});
+  install_pings(c);
+  c.start_all();
+  EXPECT_THROW(c.sys[0]->set_interposer(&drop), std::logic_error);
 }
 
 // Drops the FIRST transmission attempt of every ALIVE copy on every link.
@@ -238,31 +335,21 @@ class DropFirstAttempt : public LinkInterposer {
 
 TEST(NetSystem, ReliabilityRecoversDroppedCopiesExactlyOnce) {
   constexpr std::size_t kN = 3;
-  Cluster c(kN, /*seed=*/11, /*batching=*/true, /*metrics=*/nullptr, /*reliable=*/true);
+  // Declared first: the rel thread judges retransmissions until ~Cluster.
   std::vector<DropFirstAttempt> drops(kN);
-  std::vector<PingProcess*> procs;
-  for (std::size_t i = 0; i < kN; ++i) {
-    c.sys[i]->set_interposer(&drops[i]);
-    auto p = std::make_unique<PingProcess>();
-    procs.push_back(p.get());
-    c.sys[i]->set_process(std::move(p));
-  }
+  Cluster c({1, 2, 3}, /*seed=*/11, /*batching=*/true, /*metrics=*/nullptr, /*reliable=*/true);
+  for (std::size_t i = 0; i < kN; ++i) c.sys[i]->set_interposer(&drops[i]);
+  const auto procs = install_pings(c);
   ASSERT_TRUE(c.barrier());
   c.start_all();
   for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_TRUE(c.sys[i]->wait_for(
-        [&] {
-          return c.sys[i]->query([&](Process&) { return procs[i]->pings; }) ==
-                 static_cast<int>(kN);
-        },
-        10s))
+    EXPECT_TRUE(await_pings(*c.sys[i], *procs[i], kN, 10s))
         << "node " << i << " did not recover the dropped copies";
   }
   // Exactly-once above the layer: late retransmit crossings are deduped.
   std::this_thread::sleep_for(200ms);
   for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(c.sys[i]->query([&](Process&) { return procs[i]->pings; }),
-              static_cast<int>(kN));
+    EXPECT_EQ(pings_of(*c.sys[i], *procs[i]), static_cast<int>(kN));
     EXPECT_TRUE(c.sys[i]->reliable());
   }
   // Every first attempt really was dropped (kN outgoing links per node —
@@ -276,8 +363,8 @@ TEST(NetSystem, ReliabilityRecoversDroppedCopiesExactlyOnce) {
 }
 
 TEST(NetSystem, GarbageDatagramsCountAsDecodeErrorsNotCrashes) {
-  Cluster c(2);
-  for (auto& s : c.sys) s->set_process(std::make_unique<PingProcess>());
+  Cluster c({1, 2});
+  install_pings(c);
   ASSERT_TRUE(c.barrier());
   c.start_all();
 
@@ -295,23 +382,11 @@ TEST(NetSystem, GarbageDatagramsCountAsDecodeErrorsNotCrashes) {
 
 TEST(NetSystem, UnbatchedModeStillDelivers) {
   constexpr std::size_t kN = 2;
-  Cluster c(kN, /*seed=*/3, /*batching=*/false);
-  std::vector<PingProcess*> procs;
-  for (auto& s : c.sys) {
-    auto p = std::make_unique<PingProcess>();
-    procs.push_back(p.get());
-    s->set_process(std::move(p));
-  }
+  Cluster c({1, 2}, /*seed=*/3, /*batching=*/false);
+  const auto procs = install_pings(c);
   ASSERT_TRUE(c.barrier());
   c.start_all();
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_TRUE(c.sys[i]->wait_for(
-        [&] {
-          return c.sys[i]->query([&](Process&) { return procs[i]->pings; }) ==
-                 static_cast<int>(kN);
-        },
-        5s));
-  }
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_TRUE(await_pings(*c.sys[i], *procs[i], kN));
 }
 
 }  // namespace

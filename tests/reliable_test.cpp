@@ -244,6 +244,44 @@ TEST(RelChannel, RetryExhaustionAdvancesLostFloorInsteadOfWedging) {
   EXPECT_GT(b.stats().skipped_lost, 0u);
 }
 
+// SACK-driven fast retransmit: once the receiver reports kDupThresh (3)
+// frames held past a hole, the hole is re-sent at the next tick instead of
+// after its RTO; a shallower report (plain reordering) triggers nothing.
+TEST(RelChannel, SackReportedHoleIsRetransmittedBeforeItsRto) {
+  RelConfig cfg;
+  cfg.enabled = true;
+  cfg.rto_initial_ms = 500;
+  cfg.seed = 5;
+  const auto run = [&](int held_past_hole) {
+    ReliableChannel a(cfg, 0, 11, 2, 0, nullptr);
+    ReliableChannel b(cfg, 1, 22, 2, 0, nullptr);
+    std::vector<std::vector<std::uint8_t>> wire;
+    for (int i = 1; i <= 1 + held_past_hole; ++i) {
+      wire.push_back(a.wrap_data(1, OHPPolling::kPollType,
+                                 frame_of(poll(static_cast<Round>(i), 11), 0, 11), at(0)));
+    }
+    std::vector<Round> got;
+    const auto deliver = [&](const std::vector<std::uint8_t>& f, SimTime t) {
+      for (const Message& m : receive(b, 0, f, at(t))) got.push_back(m.as<PollingMsg>()->r);
+    };
+    for (std::size_t k = 1; k < wire.size(); ++k) deliver(wire[k], 1);  // seq 1 lost
+    EXPECT_TRUE(got.empty());
+    // b's standalone ack (cum 0 + SACK bits) reaches a well inside the RTO.
+    const std::vector<RelSend> acks = b.tick(at(30));
+    EXPECT_EQ(acks.size(), 1u);
+    for (const RelSend& s : acks) (void)receive(a, 1, s.frame, at(30));
+    const std::vector<RelSend> resent = a.tick(at(30));
+    for (const RelSend& s : resent) deliver(s.frame, 31);
+    return std::make_pair(resent.size(), got.size());
+  };
+  const auto [resent, delivered] = run(3);
+  EXPECT_EQ(resent, 1u);
+  EXPECT_EQ(delivered, 4u);  // the hole filled: all four in order
+  const auto [resent_shallow, delivered_shallow] = run(2);
+  EXPECT_EQ(resent_shallow, 0u);
+  EXPECT_EQ(delivered_shallow, 0u);
+}
+
 // Crash-restart: the peer's new incarnation must receive what its
 // predecessor never acknowledged (re-queued under fresh sequence numbers),
 // and frames from the dead incarnation must be discarded, not delivered.

@@ -208,7 +208,7 @@ TEST(System, DeliveryLatencyAccounting) {
   }
   sys.start();
   sys.run_until(10);
-  const NetworkStats& stats = sys.net_stats();
+  const NetworkStats stats = sys.net_stats();
   EXPECT_EQ(stats.copies_delivered, 3u);
   EXPECT_EQ(stats.latency_max, 2);
   EXPECT_DOUBLE_EQ(stats.mean_latency(), 2.0);

@@ -189,7 +189,7 @@ TEST(WindowQos, RejectsDegenerateConfig) {
   cfg2.windows = 0;
   EXPECT_THROW(WindowQos{cfg2}, std::invalid_argument);
   WindowQos wq(base_cfg({1}, {true}));
-  EXPECT_THROW(wq.listener(1), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(wq.listener(1)), std::out_of_range);
 }
 
 }  // namespace

@@ -606,6 +606,17 @@ int run(const Options& o) {
     verdict = "node " + std::to_string(first_failed_node) + " exited " +
               std::to_string(exit_codes[first_failed_node]) + "; survivors killed";
   }
+  if (!ok && verdict == "ok") {
+    // Every node exited within the grace, at least one with a failure
+    // status (or without a result line): name the first such node.
+    verdict = "missing node result";
+    for (std::size_t i = 0; i < o.n; ++i) {
+      if (exit_codes[i] != 0) {
+        verdict = "node " + std::to_string(i) + " exited " + std::to_string(exit_codes[i]);
+        break;
+      }
+    }
+  }
 
   // Drain the telemetry plane: final-flush datagrams may still be in
   // flight right after the last child exits.
