@@ -42,11 +42,11 @@ chaos::FaultPlan dense_plan() {
 struct Flooder final : Process {
   explicit Flooder(SimTime period) : period_(period) {}
   void on_start(Env& env) override {
-    env.broadcast(make_message("FLOOD", 0));
+    env.broadcast(make_message(MsgType::kTest0, 0));
     env.set_timer(period_);
   }
   void on_timer(Env& env, TimerId) override {
-    env.broadcast(make_message("FLOOD", 0));
+    env.broadcast(make_message(MsgType::kTest0, 0));
     env.set_timer(period_);
   }
   void on_message(Env&, const Message&) override { ++received_; }

@@ -97,11 +97,11 @@ void BM_Fig3_MoveToFrontThroughput(benchmark::State& state) {
   cfg.timing = std::make_unique<AsyncTiming>(1, 1);
   System sys(std::move(cfg));
   for (std::size_t i = 0; i < n; ++i) {
-    fd.on_message(sys.env(0), make_message(AliveRanker::kMsgType, AliveMsg{static_cast<Id>(i)}));
+    fd.on_message(sys.env(0), make_message(MsgType::kAlive, AliveMsg{static_cast<Id>(i)}));
   }
   Id next = 0;
   for (auto _ : state) {
-    fd.on_message(sys.env(0), make_message(AliveRanker::kMsgType, AliveMsg{next}));
+    fd.on_message(sys.env(0), make_message(MsgType::kAlive, AliveMsg{next}));
     next = (next + 1) % n;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

@@ -18,12 +18,12 @@ void set_counters(benchmark::State& state, const ConsensusRunResult& r) {
   state.counters["copies"] = static_cast<double>(r.copies_delivered);
   // Per-phase accounting: the Leaders' Coordination Phase is the part of
   // the algorithm that exists because of homonymy.
-  auto of = [&](const char* type) {
-    auto it = r.broadcasts_by_type.find(type);
+  auto of = [&](MsgType type) {
+    auto it = r.broadcasts_by_type.find(type_name(type));
     return it == r.broadcasts_by_type.end() ? 0.0 : static_cast<double>(it->second);
   };
-  state.counters["coord_msgs"] = of(kCoordType);
-  state.counters["ph1_msgs"] = of(kPh1Type);
+  state.counters["coord_msgs"] = of(MsgType::kCoord);
+  state.counters["ph1_msgs"] = of(MsgType::kPh1);
 }
 
 void BM_Fig8_ScaleVsN(benchmark::State& state) {

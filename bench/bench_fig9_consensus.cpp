@@ -18,13 +18,13 @@ void set_counters(benchmark::State& state, const ConsensusRunResult& r) {
   state.counters["rounds"] = static_cast<double>(r.max_round);
   state.counters["sub_rounds"] = static_cast<double>(r.max_sub_round);
   state.counters["broadcasts"] = static_cast<double>(r.broadcasts);
-  auto of = [&](const char* type) {
-    auto it = r.broadcasts_by_type.find(type);
+  auto of = [&](MsgType type) {
+    auto it = r.broadcasts_by_type.find(type_name(type));
     return it == r.broadcasts_by_type.end() ? 0.0 : static_cast<double>(it->second);
   };
   // Sub-round churn shows up as extra PH1Q/PH2Q rebroadcasts.
-  state.counters["ph1q_msgs"] = of(kPh1QType);
-  state.counters["ph2q_msgs"] = of(kPh2QType);
+  state.counters["ph1q_msgs"] = of(MsgType::kPh1Q);
+  state.counters["ph2q_msgs"] = of(MsgType::kPh2Q);
 }
 
 void BM_Fig9_VsCrashCountUpToAllButOne(benchmark::State& state) {

@@ -33,7 +33,7 @@ namespace {
 using namespace hds;
 using namespace std::chrono_literals;
 
-Message small_body() { return make_message(AliveRanker::kMsgType, AliveMsg{42}); }
+Message small_body() { return make_message(MsgType::kAlive, AliveMsg{42}); }
 
 Message large_body() {
   Multiset<Id> a;
@@ -43,7 +43,7 @@ Message large_body() {
   Multiset<Id> b;
   b.insert(3);
   b.insert(4);
-  return make_message(kPh1QType,
+  return make_message(MsgType::kPh1Q,
                       Ph1QMsg{7, 12, 6, {Label::of_multiset(a), Label::of_multiset(b)}, 103, 1});
 }
 
@@ -54,7 +54,7 @@ void BM_Codec_RoundTrip(benchmark::State& state) {
   for (auto _ : state) {
     const auto frame = net::encode_frame(net::builtin_codecs(), m, 2, 7);
     const Message back = net::decode_frame(net::builtin_codecs(), frame.data(), frame.size());
-    benchmark::DoNotOptimize(back.type.data());
+    benchmark::DoNotOptimize(back.type);
     bytes += frame.size();
   }
   state.SetItemsProcessed(state.iterations());
@@ -67,11 +67,11 @@ BENCHMARK(BM_Codec_RoundTrip)->Arg(0)->Arg(1);
 struct BurstProcess final : Process {
   void on_start(Env& env) override { env_ = &env; }
   void on_message(Env&, const Message& m) override {
-    if (m.type == HOmegaHeartbeat::kMsgType) ++received;
+    if (m.type == MsgType::kHeartbeat) ++received;
   }
   void send_burst(std::size_t k) {
     for (std::size_t i = 0; i < k; ++i) {
-      env_->broadcast(make_message(HOmegaHeartbeat::kMsgType, HeartbeatMsg{1, ++seq}));
+      env_->broadcast(make_message(MsgType::kHeartbeat, HeartbeatMsg{1, ++seq}));
     }
   }
   Env* env_ = nullptr;

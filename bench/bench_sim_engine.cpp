@@ -118,11 +118,11 @@ BENCHMARK(BM_Scheduler_SelfReschedulingChurn)->Arg(0)->Arg(1)->UseManualTime();
 struct Flooder final : Process {
   explicit Flooder(SimTime period) : period_(period) {}
   void on_start(Env& env) override {
-    env.broadcast(make_message("FLOOD", 0));
+    env.broadcast(make_message(MsgType::kTest0, 0));
     env.set_timer(period_);
   }
   void on_timer(Env& env, TimerId) override {
-    env.broadcast(make_message("FLOOD", 0));
+    env.broadcast(make_message(MsgType::kTest0, 0));
     env.set_timer(period_);
   }
   void on_message(Env&, const Message&) override { ++received_; }

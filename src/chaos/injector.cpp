@@ -47,7 +47,7 @@ FaultInjector::FaultInjector(FaultPlan plan, std::vector<Id> ids, std::uint64_t 
 FaultInjector::~FaultInjector() = default;
 
 CopyVerdict FaultInjector::on_copy(SimTime now, ProcIndex from, ProcIndex to,
-                                   const std::string& /*type*/) {
+                                   MsgType /*type*/) {
   CopyVerdict v;
   std::lock_guard lk(mu_);
   for (const FaultClause& c : plan_.clauses) {

@@ -64,8 +64,7 @@ class FaultInjector final : public LinkInterposer {
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   // LinkInterposer: applies every active matching link clause to the copy.
-  CopyVerdict on_copy(SimTime now, ProcIndex from, ProcIndex to,
-                      const std::string& type) override;
+  CopyVerdict on_copy(SimTime now, ProcIndex from, ProcIndex to, MsgType type) override;
 
   // Attaches to a substrate: installs the interposer and the crash
   // effectors, and schedules kCrashAt clauses. Call before start(); the

@@ -17,8 +17,8 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
+#include "common/msg_type.h"
 #include "common/types.h"
 
 namespace hds {
@@ -35,8 +35,9 @@ class LinkInterposer {
   virtual ~LinkInterposer() = default;
 
   // Fate of one copy of a `type` message sent at `now` on link from -> to.
-  virtual CopyVerdict on_copy(SimTime now, ProcIndex from, ProcIndex to,
-                              const std::string& type) = 0;
+  // NetSystem's standalone ARQ acks carry the control tag kTagRelAck
+  // (net/codec.h) as their type.
+  virtual CopyVerdict on_copy(SimTime now, ProcIndex from, ProcIndex to, MsgType type) = 0;
 };
 
 }  // namespace hds

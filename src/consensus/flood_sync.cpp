@@ -6,7 +6,7 @@ namespace hds {
 
 std::vector<Message> FloodMinSync::step_send(std::size_t step) {
   if (decision_.decided || step > t_) return {};
-  return {make_message(kFloodEstType, FloodEstMsg{est_})};
+  return {make_message(MsgType::kFloodEst, FloodEstMsg{est_})};
 }
 
 void FloodMinSync::step_recv(std::size_t step, const std::vector<Message>& delivered) {
@@ -26,11 +26,11 @@ std::vector<Message> ApStabilitySync::step_send(std::size_t) {
   std::vector<Message> out;
   if (pending_decision_) {
     // One relay step: convey the decision before going quiet.
-    out.push_back(make_message(kFloodDecideType, FloodDecideMsg{*pending_decision_}));
+    out.push_back(make_message(MsgType::kFloodDecide, FloodDecideMsg{*pending_decision_}));
     relayed_ = true;
     return out;
   }
-  out.push_back(make_message(kFloodEstType, FloodEstMsg{est_}));
+  out.push_back(make_message(MsgType::kFloodEst, FloodEstMsg{est_}));
   return out;
 }
 

@@ -45,9 +45,6 @@ struct FloodDecideMsg {
   Value v;
 };
 
-inline constexpr const char* kFloodEstType = "FLOOD_EST";
-inline constexpr const char* kFloodDecideType = "FLOOD_DEC";
-
 class FloodMinSync final : public SyncProcess {
  public:
   FloodMinSync(Value proposal, std::size_t t) : est_(proposal), t_(t) {}

@@ -83,7 +83,7 @@ void MajorityHOmegaConsensus::enter_round(Env& env, Round r) {
   set_phase(env, Phase::kCoord);
   obs::inc(m_rounds_);
   // Line 9: open the Leaders' Coordination Phase of round r.
-  env.broadcast(make_message(kCoordType, CoordMsg{env.self_id(), r_, est1_, cfg_.instance}));
+  env.broadcast(make_message(MsgType::kCoord, CoordMsg{env.self_id(), r_, est1_, cfg_.instance}));
 }
 
 void MajorityHOmegaConsensus::on_timer(Env& env, TimerId id) {
@@ -91,7 +91,7 @@ void MajorityHOmegaConsensus::on_timer(Env& env, TimerId id) {
     // Stale guard-poll timers die here; only the dedicated redecide timer
     // keeps Task T2's DECIDE propagation alive for late (re)joiners.
     if (cfg_.redecide_interval_ms > 0 && decision_.decided && id == redecide_timer_) {
-      env.broadcast(make_message(kDecideType, DecideMsg{decision_.value, cfg_.instance}));
+      env.broadcast(make_message(MsgType::kDecide, DecideMsg{decision_.value, cfg_.instance}));
       redecide_timer_ = env.set_timer(cfg_.redecide_interval_ms);
     }
     return;
@@ -104,27 +104,27 @@ void MajorityHOmegaConsensus::on_timer(Env& env, TimerId id) {
 
 void MajorityHOmegaConsensus::on_message(Env& env, const Message& m) {
   if (phase_ == Phase::kDone) return;
-  if (m.type == kCoordType) {
+  if (m.type == MsgType::kCoord) {
     if (const auto* b = m.as<CoordMsg>();
         b != nullptr && b->instance == cfg_.instance && b->r >= r_) {
       bufs_[b->r].coord.push_back(*b);
     }
-  } else if (m.type == kPh0Type) {
+  } else if (m.type == MsgType::kPh0) {
     if (const auto* b = m.as<Ph0Msg>();
         b != nullptr && b->instance == cfg_.instance && b->r >= r_) {
       bufs_[b->r].ph0.push_back(b->est);
     }
-  } else if (m.type == kPh1Type) {
+  } else if (m.type == MsgType::kPh1) {
     if (const auto* b = m.as<Ph1Msg>();
         b != nullptr && b->instance == cfg_.instance && b->r >= r_) {
       bufs_[b->r].ph1.push_back(b->est);
     }
-  } else if (m.type == kPh2Type) {
+  } else if (m.type == MsgType::kPh2) {
     if (const auto* b = m.as<Ph2Msg>();
         b != nullptr && b->instance == cfg_.instance && b->r >= r_) {
       bufs_[b->r].ph2.push_back(b->est2);
     }
-  } else if (m.type == kDecideType) {
+  } else if (m.type == MsgType::kDecide) {
     // Task T2: reliable propagation, then decide.
     if (const auto* b = m.as<DecideMsg>(); b != nullptr && b->instance == cfg_.instance) {
       decide(env, b->v);
@@ -137,7 +137,7 @@ void MajorityHOmegaConsensus::on_message(Env& env, const Message& m) {
 }
 
 void MajorityHOmegaConsensus::decide(Env& env, Value v) {
-  env.broadcast(make_message(kDecideType, DecideMsg{v, cfg_.instance}));
+  env.broadcast(make_message(MsgType::kDecide, DecideMsg{v, cfg_.instance}));
   decision_ = DecisionRecord{true, env.local_now(), v, r_};
   set_phase(env, Phase::kDone);
   obs::set(m_decide_at_, env.local_now());
@@ -184,8 +184,8 @@ bool MajorityHOmegaConsensus::try_advance_once(Env& env) {
       // Line 16: leaders proceed; others wait for a PH0 of this round.
       if (fd.leader != self && buf.ph0.empty()) return false;
       if (!buf.ph0.empty()) est1_ = buf.ph0.front();  // line 17
-      env.broadcast(make_message(kPh0Type, Ph0Msg{r_, est1_, cfg_.instance}));   // line 18
-      env.broadcast(make_message(kPh1Type, Ph1Msg{r_, est1_, cfg_.instance}));   // line 20
+      env.broadcast(make_message(MsgType::kPh0, Ph0Msg{r_, est1_, cfg_.instance}));   // line 18
+      env.broadcast(make_message(MsgType::kPh1, Ph1Msg{r_, est1_, cfg_.instance}));   // line 20
       set_phase(env, Phase::kPh1);
       return true;
     }
@@ -201,7 +201,7 @@ bool MajorityHOmegaConsensus::try_advance_once(Env& env) {
       for (const auto& [v, c] : tally) {
         if (is_quorum(c)) est2_ = v;
       }
-      env.broadcast(make_message(kPh2Type, Ph2Msg{r_, est2_, cfg_.instance}));  // line 28
+      env.broadcast(make_message(MsgType::kPh2, Ph2Msg{r_, est2_, cfg_.instance}));  // line 28
       set_phase(env, Phase::kPh2);
       return true;
     }

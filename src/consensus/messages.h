@@ -73,12 +73,4 @@ struct Ph2QMsg {
   friend bool operator==(const Ph2QMsg&, const Ph2QMsg&) = default;
 };
 
-inline constexpr const char* kCoordType = "COORD";
-inline constexpr const char* kPh0Type = "PH0";
-inline constexpr const char* kPh1Type = "PH1";
-inline constexpr const char* kPh2Type = "PH2";
-inline constexpr const char* kDecideType = "DECIDE";
-inline constexpr const char* kPh1QType = "PH1Q";
-inline constexpr const char* kPh2QType = "PH2Q";
-
 }  // namespace hds

@@ -74,7 +74,8 @@ void QuorumConsensus::enter_round(Env& env, Round r) {
   est2_.reset();
   set_phase(env, Phase::kCoord);
   obs::inc(m_rounds_);
-  env.broadcast(make_message(kCoordType, CoordMsg{env.self_id(), r_, est1_, cfg_.instance}));  // line 9
+  env.broadcast(  // line 9
+      make_message(MsgType::kCoord, CoordMsg{env.self_id(), r_, est1_, cfg_.instance}));
 }
 
 void QuorumConsensus::on_timer(Env& env, TimerId) {
@@ -85,29 +86,29 @@ void QuorumConsensus::on_timer(Env& env, TimerId) {
 
 void QuorumConsensus::on_message(Env& env, const Message& m) {
   if (phase_ == Phase::kDone) return;
-  if (m.type == kCoordType) {
+  if (m.type == MsgType::kCoord) {
     if (const auto* b = m.as<CoordMsg>();
         b != nullptr && b->instance == cfg_.instance && b->r >= r_) {
       bufs_[b->r].coord.push_back(*b);
     }
-  } else if (m.type == kPh0Type) {
+  } else if (m.type == MsgType::kPh0) {
     if (const auto* b = m.as<Ph0Msg>();
         b != nullptr && b->instance == cfg_.instance && b->r >= r_) {
       bufs_[b->r].ph0.push_back(b->est);
     }
-  } else if (m.type == kPh1QType) {
+  } else if (m.type == MsgType::kPh1Q) {
     if (const auto* b = m.as<Ph1QMsg>();
         b != nullptr && b->instance == cfg_.instance && b->r >= r_) {
       bufs_[b->r].ph1.push_back(*b);
       if (b->r == r_) max_sr_seen_ = std::max(max_sr_seen_, b->sr);
     }
-  } else if (m.type == kPh2QType) {
+  } else if (m.type == MsgType::kPh2Q) {
     if (const auto* b = m.as<Ph2QMsg>();
         b != nullptr && b->instance == cfg_.instance && b->r >= r_) {
       bufs_[b->r].ph2.push_back(*b);
       if (b->r == r_) max_sr_seen_ = std::max(max_sr_seen_, b->sr);
     }
-  } else if (m.type == kDecideType) {
+  } else if (m.type == MsgType::kDecide) {
     if (const auto* b = m.as<DecideMsg>(); b != nullptr && b->instance == cfg_.instance) {
       decide(env, b->v);
     }
@@ -119,7 +120,7 @@ void QuorumConsensus::on_message(Env& env, const Message& m) {
 }
 
 void QuorumConsensus::decide(Env& env, Value v) {
-  env.broadcast(make_message(kDecideType, DecideMsg{v, cfg_.instance}));
+  env.broadcast(make_message(MsgType::kDecide, DecideMsg{v, cfg_.instance}));
   decision_ = DecisionRecord{true, env.local_now(), v, r_};
   set_phase(env, Phase::kDone);
   obs::set(m_decide_at_, env.local_now());
@@ -137,7 +138,7 @@ void QuorumConsensus::enter_ph1(Env& env) {
   current_labels_ = fd2_->snapshot().labels;
   set_phase(env, Phase::kPh1);
   env.broadcast(make_message(
-      kPh1QType, Ph1QMsg{env.self_id(), r_, sr_, current_labels_, est1_, cfg_.instance}));
+      MsgType::kPh1Q, Ph1QMsg{env.self_id(), r_, sr_, current_labels_, est1_, cfg_.instance}));
 }
 
 void QuorumConsensus::enter_ph2(Env& env) {
@@ -146,7 +147,7 @@ void QuorumConsensus::enter_ph2(Env& env) {
   current_labels_ = fd2_->snapshot().labels;
   set_phase(env, Phase::kPh2);
   env.broadcast(make_message(
-      kPh2QType, Ph2QMsg{env.self_id(), r_, sr_, current_labels_, est2_, cfg_.instance}));
+      MsgType::kPh2Q, Ph2QMsg{env.self_id(), r_, sr_, current_labels_, est2_, cfg_.instance}));
 }
 
 template <typename M>
@@ -225,7 +226,7 @@ bool QuorumConsensus::try_advance_once(Env& env) {
           aomega_ != nullptr ? aomega_->a_leader() : fd1_->h_omega().leader == self;
       if (!is_leader && buf.ph0.empty()) return false;
       if (!buf.ph0.empty()) est1_ = buf.ph0.front();
-      env.broadcast(make_message(kPh0Type, Ph0Msg{r_, est1_, cfg_.instance}));
+      env.broadcast(make_message(MsgType::kPh0, Ph0Msg{r_, est1_, cfg_.instance}));
       enter_ph1(env);
       return true;
     }
@@ -258,7 +259,7 @@ bool QuorumConsensus::try_advance_once(Env& env) {
         bump_sub_round();
         current_labels_ = snap.labels;
         env.broadcast(make_message(
-            kPh1QType, Ph1QMsg{self, r_, sr_, current_labels_, est1_, cfg_.instance}));
+            MsgType::kPh1Q, Ph1QMsg{self, r_, sr_, current_labels_, est1_, cfg_.instance}));
         return true;
       }
       return false;
@@ -300,7 +301,7 @@ bool QuorumConsensus::try_advance_once(Env& env) {
         bump_sub_round();
         current_labels_ = snap.labels;
         env.broadcast(make_message(
-            kPh2QType, Ph2QMsg{self, r_, sr_, current_labels_, est2_, cfg_.instance}));
+            MsgType::kPh2Q, Ph2QMsg{self, r_, sr_, current_labels_, est2_, cfg_.instance}));
         return true;
       }
       return false;

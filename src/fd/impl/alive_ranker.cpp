@@ -7,17 +7,17 @@ namespace hds {
 AliveRanker::AliveRanker(SimTime resend_period) : period_(resend_period) {}
 
 void AliveRanker::on_start(Env& env) {
-  env.broadcast(make_message(kMsgType, AliveMsg{env.self_id()}));
+  env.broadcast(make_message(MsgType::kAlive, AliveMsg{env.self_id()}));
   env.set_timer(period_);
 }
 
 void AliveRanker::on_timer(Env& env, TimerId) {
-  env.broadcast(make_message(kMsgType, AliveMsg{env.self_id()}));
+  env.broadcast(make_message(MsgType::kAlive, AliveMsg{env.self_id()}));
   env.set_timer(period_);
 }
 
 void AliveRanker::on_message(Env& env, const Message& m) {
-  if (m.type != kMsgType) return;
+  if (m.type != MsgType::kAlive) return;
   const auto* body = m.as<AliveMsg>();
   if (body == nullptr) return;
   auto it = std::find(alive_.begin(), alive_.end(), body->id);

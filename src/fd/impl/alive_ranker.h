@@ -24,8 +24,6 @@ struct AliveMsg {
 
 class AliveRanker final : public Process, public RankerHandle {
  public:
-  static constexpr const char* kMsgType = "ALIVE";
-
   explicit AliveRanker(SimTime resend_period = 5);
 
   // RankerHandle.

@@ -9,13 +9,13 @@ void APCore::on_step_count(SimTime t, std::size_t count) {
 }
 
 std::vector<Message> APSyncProcess::step_send(std::size_t) {
-  return {make_message(kMsgType, ApAliveMsg{})};
+  return {make_message(MsgType::kApAlive, ApAliveMsg{})};
 }
 
 void APSyncProcess::step_recv(std::size_t step, const std::vector<Message>& delivered) {
   std::size_t count = 0;
   for (const Message& m : delivered) {
-    if (m.type == kMsgType) ++count;
+    if (m.type == MsgType::kApAlive) ++count;
   }
   // The count is formed at the *end* of step `step`: a sender that crashed
   // while broadcasting in this step is already dead by then, so the value
@@ -29,12 +29,12 @@ APComponent::APComponent(SimTime step_len) : step_len_(step_len) {}
 void APComponent::on_start(Env& env) { begin_step(env); }
 
 void APComponent::begin_step(Env& env) {
-  env.broadcast(make_message(APSyncProcess::kMsgType, ApAliveMsg{}));
+  env.broadcast(make_message(MsgType::kApAlive, ApAliveMsg{}));
   step_timer_ = env.set_timer(step_len_);
 }
 
 void APComponent::on_message(Env&, const Message& m) {
-  if (m.type == APSyncProcess::kMsgType) ++pending_;
+  if (m.type == MsgType::kApAlive) ++pending_;
 }
 
 void APComponent::on_timer(Env& env, TimerId id) {

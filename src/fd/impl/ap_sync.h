@@ -43,8 +43,6 @@ class APCore {
 
 class APSyncProcess final : public SyncProcess, public APHandle {
  public:
-  static constexpr const char* kMsgType = "AP_ALIVE";
-
   std::vector<Message> step_send(std::size_t step) override;
   void step_recv(std::size_t step, const std::vector<Message>& delivered) override;
 

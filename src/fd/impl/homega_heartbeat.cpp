@@ -22,7 +22,7 @@ void HOmegaHeartbeat::on_start(Env& env) {
 
 void HOmegaHeartbeat::beat(Env& env) {
   ++seq_;
-  env.broadcast(make_message(kMsgType, HeartbeatMsg{env.self_id(), seq_}));
+  env.broadcast(make_message(MsgType::kHeartbeat, HeartbeatMsg{env.self_id(), seq_}));
   beat_timer_ = env.set_timer(period_);
 }
 
@@ -33,7 +33,7 @@ void HOmegaHeartbeat::on_timer(Env& env, TimerId id) {
 }
 
 void HOmegaHeartbeat::on_message(Env& env, const Message& m) {
-  if (m.type != kMsgType) return;
+  if (m.type != MsgType::kHeartbeat) return;
   const auto* hb = m.as<HeartbeatMsg>();
   if (hb == nullptr) return;
   PerId& rec = heard_[hb->id];

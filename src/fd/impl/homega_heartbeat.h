@@ -38,8 +38,6 @@ struct HeartbeatMsg {
 
 class HOmegaHeartbeat final : public Process, public HOmegaHandle {
  public:
-  static constexpr const char* kMsgType = "HB";
-
   explicit HOmegaHeartbeat(SimTime period = 4) : period_(period) {}
 
   [[nodiscard]] HOmegaOut h_omega() const override { return out_; }

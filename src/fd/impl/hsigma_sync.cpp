@@ -26,13 +26,13 @@ void HSigmaCore::on_step_idents(SimTime t, const Multiset<Id>& mset) {
 }
 
 std::vector<Message> HSigmaSyncProcess::step_send(std::size_t) {
-  return {make_message(kMsgType, IdentMsg{self_id_})};
+  return {make_message(MsgType::kIdent, IdentMsg{self_id_})};
 }
 
 void HSigmaSyncProcess::step_recv(std::size_t step, const std::vector<Message>& delivered) {
   Multiset<Id> mset;
   for (const Message& m : delivered) {
-    if (m.type != kMsgType) continue;
+    if (m.type != MsgType::kIdent) continue;
     if (const auto* body = m.as<IdentMsg>()) mset.insert(body->id);
   }
   core_.on_step_idents(static_cast<SimTime>(step), mset);
@@ -45,12 +45,12 @@ void HSigmaComponent::on_start(Env& env) { begin_step(env); }
 void HSigmaComponent::begin_step(Env& env) {
   // Broadcast before arming the timer: with a link bound < step_len_, every
   // IDENT of this step is delivered before the step timer fires.
-  env.broadcast(make_message(HSigmaSyncProcess::kMsgType, IdentMsg{env.self_id()}));
+  env.broadcast(make_message(MsgType::kIdent, IdentMsg{env.self_id()}));
   step_timer_ = env.set_timer(step_len_);
 }
 
 void HSigmaComponent::on_message(Env&, const Message& m) {
-  if (m.type != HSigmaSyncProcess::kMsgType) return;
+  if (m.type != MsgType::kIdent) return;
   if (const auto* body = m.as<IdentMsg>()) pending_.insert(body->id);
 }
 

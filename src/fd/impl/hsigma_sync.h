@@ -60,8 +60,6 @@ class HSigmaCore {
 
 class HSigmaSyncProcess final : public SyncProcess, public HSigmaHandle {
  public:
-  static constexpr const char* kMsgType = "IDENT";
-
   explicit HSigmaSyncProcess(Id self_id) : self_id_(self_id) {}
 
   std::vector<Message> step_send(std::size_t step) override;

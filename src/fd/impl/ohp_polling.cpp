@@ -30,7 +30,7 @@ void OHPPolling::on_start(Env& env) {
 }
 
 void OHPPolling::begin_round(Env& env) {
-  env.broadcast(make_message(kPollType, PollingMsg{r_, env.self_id()}));
+  env.broadcast(make_message(MsgType::kPolling, PollingMsg{r_, env.self_id()}));
   poll_timer_ = env.set_timer(timeout_);
 }
 
@@ -75,7 +75,7 @@ void OHPPolling::finish_round(Env& env) {
 }
 
 void OHPPolling::on_message(Env& env, const Message& m) {
-  if (m.type == kPollType) {
+  if (m.type == MsgType::kPolling) {
     const auto* poll = m.as<PollingMsg>();
     if (poll == nullptr) return;
     // Lines 23-27: first contact with this poller identifier.
@@ -84,13 +84,13 @@ void OHPPolling::on_message(Env& env, const Message& m) {
     // Lines 28-30: answer every round not yet answered for this identifier,
     // piggybacked as one range.
     if (latest < poll->r) {
-      env.broadcast(
-          make_message(kReplyType, PollReplyMsg{latest + 1, poll->r, poll->id, env.self_id()}));
+      env.broadcast(make_message(MsgType::kPollReply,
+                                 PollReplyMsg{latest + 1, poll->r, poll->id, env.self_id()}));
     }
     latest = std::max(latest, poll->r);
     return;
   }
-  if (m.type == kReplyType) {
+  if (m.type == MsgType::kPollReply) {
     const auto* rep = m.as<PollReplyMsg>();
     if (rep == nullptr) return;
     if (rep->to_id != env.self_id()) return;  // answers some other identifier

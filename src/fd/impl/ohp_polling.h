@@ -44,9 +44,6 @@ struct PollReplyMsg {
 
 class OHPPolling final : public Process, public OHPHandle, public HOmegaHandle {
  public:
-  static constexpr const char* kPollType = "POLLING";
-  static constexpr const char* kReplyType = "P_REPLY";
-
   struct Options {
     SimTime initial_timeout = 1;
     // Ablation switch (not in the paper's algorithm, whose lines 33-34 are

@@ -39,7 +39,7 @@ void HSigmaToSigma::on_timer(Env& env, TimerId) { tick(env); }
 void HSigmaToSigma::tick(Env& env) {
   const HSigmaSnapshot snap = hsigma_.snapshot();
   // Line 5: publish our current label set.
-  env.broadcast(make_message(kMsgType, LabelsMsg{env.self_id(), snap.labels}));
+  env.broadcast(make_message(MsgType::kLabels, LabelsMsg{env.self_id(), snap.labels}));
   obs::inc(m_msgs_);
   if (m_bytes_ != nullptr) {
     std::uint64_t bytes = sizeof(Id);
@@ -74,7 +74,7 @@ void HSigmaToSigma::tick(Env& env) {
 }
 
 void HSigmaToSigma::on_message(Env&, const Message& m) {
-  if (m.type != kMsgType) return;
+  if (m.type != MsgType::kLabels) return;
   const auto* body = m.as<LabelsMsg>();
   if (body == nullptr) return;
   // Lines 13-17: idents[x] <- idents[x] U {i}.

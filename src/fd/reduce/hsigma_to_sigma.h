@@ -29,8 +29,6 @@ struct LabelsMsg {
 
 class HSigmaToSigma final : public Process, public SigmaHandle {
  public:
-  static constexpr const char* kMsgType = "LABELS";
-
   // `hsigma` is the D ∈ HΣ being transformed; `ranker` the auxiliary class-S
   // detector X (typically an AliveRanker stacked on the same node).
   HSigmaToSigma(const HSigmaHandle& hsigma, const RankerHandle& ranker, SimTime period = 3);

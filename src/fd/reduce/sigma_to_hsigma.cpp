@@ -81,7 +81,7 @@ void SigmaToHSigmaBcast::attach_metrics(obs::MetricsRegistry* reg, obs::Labels l
 }
 
 void SigmaToHSigmaBcast::beat(Env& env) {
-  env.broadcast(make_message(kMsgType, SigIdentMsg{env.self_id()}));
+  env.broadcast(make_message(MsgType::kSigIdent, SigIdentMsg{env.self_id()}));
   obs::inc(m_msgs_);
   obs::inc(m_bytes_, sizeof(Id));
 }
@@ -99,7 +99,7 @@ void SigmaToHSigmaBcast::on_timer(Env& env, TimerId) {
 }
 
 void SigmaToHSigmaBcast::on_message(Env& env, const Message& m) {
-  if (m.type != kMsgType) return;
+  if (m.type != MsgType::kSigIdent) return;
   const auto* body = m.as<SigIdentMsg>();
   if (body == nullptr) return;
   // Lines 14-16: learn the sender and rebuild h_labels over the larger

@@ -60,8 +60,6 @@ class SigmaToHSigmaLocal final : public Process, public HSigmaHandle {
 // h_labels follows the learned membership.
 class SigmaToHSigmaBcast final : public Process, public HSigmaHandle {
  public:
-  static constexpr const char* kMsgType = "SIG_IDENT";
-
   explicit SigmaToHSigmaBcast(const SigmaHandle& sigma, SimTime period = 3);
 
   void on_start(Env& env) override;

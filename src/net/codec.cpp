@@ -13,31 +13,18 @@ std::uint32_t fnv1a(const std::uint8_t* data, std::size_t len) {
 
 void CodecRegistry::add(BodyCodec c) {
   if (c.tag >= kCtrlTagFirst) throw std::logic_error("codec tag in control range");
-  if (by_type_.count(c.type) != 0) throw std::logic_error("duplicate codec type " + c.type);
-  if (by_tag_.count(c.tag) != 0) {
-    throw std::logic_error("duplicate codec tag " + std::to_string(c.tag));
-  }
-  auto [it, ok] = by_type_.emplace(c.type, std::move(c));
-  (void)ok;
-  by_tag_[it->second.tag] = &it->second;
-}
-
-const BodyCodec* CodecRegistry::by_type(const std::string& type) const {
-  auto it = by_type_.find(type);
-  return it == by_type_.end() ? nullptr : &it->second;
-}
-
-const BodyCodec* CodecRegistry::by_tag(std::uint8_t tag) const {
-  auto it = by_tag_.find(tag);
-  return it == by_tag_.end() ? nullptr : it->second;
+  if (c.tag >= kFirstLocalTag) throw std::logic_error("codec tag in local-kind range");
+  if (slot_[c.tag] != 0) throw std::logic_error("duplicate codec tag " + std::to_string(c.tag));
+  const std::uint8_t tag = c.tag;
+  codecs_.push_back(std::move(c));
+  slot_[tag] = static_cast<std::uint8_t>(codecs_.size());
 }
 
 std::vector<const BodyCodec*> CodecRegistry::all() const {
   std::vector<const BodyCodec*> out;
-  out.reserve(by_tag_.size());
-  for (const auto& [tag, c] : by_tag_) {
-    (void)tag;
-    out.push_back(c);
+  out.reserve(codecs_.size());
+  for (std::size_t tag = 0; tag < slot_.size(); ++tag) {
+    if (const BodyCodec* c = by_tag(static_cast<std::uint8_t>(tag))) out.push_back(c);
   }
   return out;
 }
@@ -71,8 +58,11 @@ std::vector<std::uint8_t> finish_frame(std::uint8_t tag, ProcIndex sender_index,
 
 std::vector<std::uint8_t> encode_frame(const CodecRegistry& reg, const Message& m,
                                        ProcIndex sender_index, Id sender_id) {
-  const BodyCodec* c = reg.by_type(m.type);
-  if (c == nullptr) throw CodecError("no codec registered for type " + m.type);
+  const BodyCodec* c = reg.by_tag(tag_of(m.type));
+  if (c == nullptr) {
+    throw CodecError("no codec registered for type " + std::to_string(tag_of(m.type)) + " " +
+                     type_name(m.type));
+  }
   WireWriter body;
   c->encode(m.body, body);
   return finish_frame(c->tag, sender_index, sender_id, body.data(), &m);
@@ -158,7 +148,7 @@ Message decode_frame(const CodecRegistry& reg, const std::uint8_t* data, std::si
   if (body_len != r.remaining()) throw CodecError("body length disagrees with frame length");
   if (tag >= kCtrlTagFirst) {
     Message m;
-    m.type = "CTRL";
+    m.type = MsgType{tag};
     m.meta_sender = static_cast<ProcIndex>(sender_index);
     return m;
   }
@@ -168,7 +158,7 @@ Message decode_frame(const CodecRegistry& reg, const std::uint8_t* data, std::si
   std::any value = c->decode(body);
   if (body.remaining() != 0) throw CodecError("trailing bytes after body");
   Message m;
-  m.type = c->type;
+  m.type = MsgType{tag};
   m.body = std::move(value);
   m.meta_sender = static_cast<ProcIndex>(sender_index);
   m.meta_causal_id = causal_id;
@@ -190,7 +180,7 @@ std::size_t encoded_body_size(const BodyCodec& c, const Message& m) {
 
 std::optional<std::size_t> encoded_frame_size(const CodecRegistry& reg, const Message& m,
                                               ProcIndex sender_index, Id sender_id) {
-  const BodyCodec* c = reg.by_type(m.type);
+  const BodyCodec* c = reg.by_tag(tag_of(m.type));
   if (c == nullptr) return std::nullopt;
   const std::size_t body = encoded_body_size(*c, m);
   return frame_overhead(sender_index, sender_id) + varint_size(body) + body;

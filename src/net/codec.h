@@ -6,8 +6,9 @@
 //          1   u8      magic 'S'
 //          2   u8      version (1), OR'd with kWireTracedFlag (0x80) when
 //                      the optional trace-context extension is present
-//          3   u8      body type tag (see codecs_builtin.cpp; >= 0xF0 are
-//                      transport-control frames that never reach a Process)
+//          3   u8      body type tag: the Message's MsgType (common/
+//                      msg_type.h); >= 0xF0 are transport-control frames
+//                      that never reach a Process
 //          4   varint  sender node index (instrumentation -> meta_sender;
 //                      protocol code never reads it, matching the model's
 //                      "the receiver cannot identify the link")
@@ -41,19 +42,19 @@
 // The layout is frozen by the golden fixtures under tests/wire/ — an
 // incompatible edit must bump kWireVersion and regenerate them.
 //
-// The registry maps a Message::type string to a (tag, encode, decode)
-// triple. Bodies travel as std::any exactly as they do in-process; the
-// registered functions are the only place that knows the concrete struct.
+// The registry maps a body tag (a wire MsgType) to its (encode, decode)
+// pair by array index. Bodies travel as std::any exactly as they do
+// in-process; the registered functions are the only place that knows the
+// concrete struct.
 // builtin_codecs() covers every FD and consensus body in the library, so
 // any stack the harness can assemble can cross a socket unchanged.
 #pragma once
 
 #include <any>
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -87,25 +88,28 @@ inline constexpr std::uint8_t kTagRejoin = 0xF3;     // restart barrier probe (c
 inline constexpr std::uint8_t kTagRejoinAck = 0xF4;  // rejoin answer (carries epoch)
 
 struct BodyCodec {
-  std::uint8_t tag = 0;
-  std::string type;  // Message::type routing string
+  std::uint8_t tag = 0;  // tag_of(MsgType) of the bodies it carries
   std::function<void(const std::any& body, WireWriter&)> encode;
   std::function<std::any(WireReader&)> decode;
 };
 
 class CodecRegistry {
  public:
-  // Throws std::logic_error on a duplicate tag or type, or a control-range
-  // tag — registration bugs, not wire faults.
+  // Throws std::logic_error on a duplicate tag, or a tag in the local or
+  // control range (>= kFirstLocalTag) — registration bugs, not wire faults.
   void add(BodyCodec c);
 
-  [[nodiscard]] const BodyCodec* by_type(const std::string& type) const;
-  [[nodiscard]] const BodyCodec* by_tag(std::uint8_t tag) const;
+  // Null when `tag` has no codec.
+  [[nodiscard]] const BodyCodec* by_tag(std::uint8_t tag) const {
+    const std::uint8_t slot = slot_[tag];
+    return slot == 0 ? nullptr : &codecs_[slot - 1];
+  }
+  // Ascending tag order.
   [[nodiscard]] std::vector<const BodyCodec*> all() const;
 
  private:
-  std::map<std::string, BodyCodec> by_type_;
-  std::map<std::uint8_t, const BodyCodec*> by_tag_;
+  std::vector<BodyCodec> codecs_;
+  std::array<std::uint8_t, 256> slot_{};  // 1 + index into codecs_; 0 = none
 };
 
 // The registry covering every message body in the library (Figs. 3-9, AP,
@@ -113,7 +117,7 @@ class CodecRegistry {
 // threads.
 const CodecRegistry& builtin_codecs();
 
-// One frame. Throws CodecError when the type has no registered codec.
+// One frame. Throws CodecError when m.type has no registered codec.
 // When m.meta_causal_id != 0 the frame carries the trace-context extension.
 std::vector<std::uint8_t> encode_frame(const CodecRegistry& reg, const Message& m,
                                        ProcIndex sender_index, Id sender_id);
@@ -156,7 +160,7 @@ std::optional<std::size_t> encoded_frame_size(const CodecRegistry& reg, const Me
                                               ProcIndex sender_index, Id sender_id);
 
 // Decomposed pieces of encoded_frame_size, for byte meters that memoize the
-// per-sender envelope and the per-type codec resolution (the simulator):
+// per-sender envelope (the simulator):
 // frame size = frame_overhead + varint_size(body) + body.
 std::size_t frame_overhead(ProcIndex sender_index, Id sender_id);
 std::size_t encoded_body_size(const BodyCodec& c, const Message& m);

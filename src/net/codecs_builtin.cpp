@@ -1,7 +1,6 @@
-// Builtin body codecs: one registration per message type in the library,
-// kept next to the wire format they freeze. Tag numbers are part of the v1
-// wire contract (golden fixtures pin them) — append new types with fresh
-// tags, never renumber.
+// Builtin body codecs: one registration per wire MsgType in the library,
+// kept next to the wire format they freeze. The MsgType values are the v1
+// body tags (golden fixtures pin them) — see common/msg_type.h.
 #include <set>
 
 #include "common/label.h"
@@ -126,11 +125,9 @@ std::vector<smr::SmrCommitRec> get_smr_commits(WireReader& r) {
 }
 
 template <typename T>
-BodyCodec codec(std::uint8_t tag, const char* type, void (*enc)(const T&, WireWriter&),
-                T (*dec)(WireReader&)) {
+BodyCodec codec(MsgType type, void (*enc)(const T&, WireWriter&), T (*dec)(WireReader&)) {
   BodyCodec c;
-  c.tag = tag;
-  c.type = type;
+  c.tag = tag_of(type);
   c.encode = [enc](const std::any& body, WireWriter& w) { enc(body_as<T>(body), w); };
   c.decode = [dec](WireReader& r) -> std::any { return dec(r); };
   return c;
@@ -141,13 +138,13 @@ CodecRegistry build() {
 
   // --- failure-detector bodies ---
   reg.add(codec<AliveMsg>(
-      1, AliveRanker::kMsgType, [](const AliveMsg& m, WireWriter& w) { w.varint(m.id); },
+      MsgType::kAlive, [](const AliveMsg& m, WireWriter& w) { w.varint(m.id); },
       [](WireReader& r) { return AliveMsg{r.varint()}; }));
   reg.add(codec<ApAliveMsg>(
-      2, APSyncProcess::kMsgType, [](const ApAliveMsg&, WireWriter&) {},
+      MsgType::kApAlive, [](const ApAliveMsg&, WireWriter&) {},
       [](WireReader&) { return ApAliveMsg{}; }));
   reg.add(codec<HeartbeatMsg>(
-      3, HOmegaHeartbeat::kMsgType,
+      MsgType::kHeartbeat,
       [](const HeartbeatMsg& m, WireWriter& w) {
         w.varint(m.id);
         w.svarint(m.seq);
@@ -159,10 +156,10 @@ CodecRegistry build() {
         return m;
       }));
   reg.add(codec<IdentMsg>(
-      4, HSigmaSyncProcess::kMsgType, [](const IdentMsg& m, WireWriter& w) { w.varint(m.id); },
+      MsgType::kIdent, [](const IdentMsg& m, WireWriter& w) { w.varint(m.id); },
       [](WireReader& r) { return IdentMsg{r.varint()}; }));
   reg.add(codec<PollingMsg>(
-      5, OHPPolling::kPollType,
+      MsgType::kPolling,
       [](const PollingMsg& m, WireWriter& w) {
         w.svarint(m.r);
         w.varint(m.id);
@@ -174,7 +171,7 @@ CodecRegistry build() {
         return m;
       }));
   reg.add(codec<PollReplyMsg>(
-      6, OHPPolling::kReplyType,
+      MsgType::kPollReply,
       [](const PollReplyMsg& m, WireWriter& w) {
         w.svarint(m.lo);
         w.svarint(m.hi);
@@ -192,7 +189,7 @@ CodecRegistry build() {
 
   // --- consensus bodies (Figs. 8 and 9) ---
   reg.add(codec<CoordMsg>(
-      7, kCoordType,
+      MsgType::kCoord,
       [](const CoordMsg& m, WireWriter& w) {
         w.varint(m.id);
         w.svarint(m.r);
@@ -208,7 +205,7 @@ CodecRegistry build() {
         return m;
       }));
   reg.add(codec<Ph0Msg>(
-      8, kPh0Type,
+      MsgType::kPh0,
       [](const Ph0Msg& m, WireWriter& w) {
         w.svarint(m.r);
         w.svarint(m.est);
@@ -222,7 +219,7 @@ CodecRegistry build() {
         return m;
       }));
   reg.add(codec<Ph1Msg>(
-      9, kPh1Type,
+      MsgType::kPh1,
       [](const Ph1Msg& m, WireWriter& w) {
         w.svarint(m.r);
         w.svarint(m.est);
@@ -236,7 +233,7 @@ CodecRegistry build() {
         return m;
       }));
   reg.add(codec<Ph2Msg>(
-      10, kPh2Type,
+      MsgType::kPh2,
       [](const Ph2Msg& m, WireWriter& w) {
         w.svarint(m.r);
         put_maybe(w, m.est2);
@@ -250,7 +247,7 @@ CodecRegistry build() {
         return m;
       }));
   reg.add(codec<DecideMsg>(
-      11, kDecideType,
+      MsgType::kDecide,
       [](const DecideMsg& m, WireWriter& w) {
         w.svarint(m.v);
         w.svarint(m.instance);
@@ -262,7 +259,7 @@ CodecRegistry build() {
         return m;
       }));
   reg.add(codec<Ph1QMsg>(
-      12, kPh1QType,
+      MsgType::kPh1Q,
       [](const Ph1QMsg& m, WireWriter& w) {
         w.varint(m.id);
         w.svarint(m.r);
@@ -282,7 +279,7 @@ CodecRegistry build() {
         return m;
       }));
   reg.add(codec<Ph2QMsg>(
-      13, kPh2QType,
+      MsgType::kPh2Q,
       [](const Ph2QMsg& m, WireWriter& w) {
         w.varint(m.id);
         w.svarint(m.r);
@@ -304,7 +301,7 @@ CodecRegistry build() {
 
   // --- replicated-log bodies (src/smr/) ---
   reg.add(codec<smr::SmrAppendMsg>(
-      14, smr::kSmrAppendType,
+      MsgType::kSmrAppend,
       [](const smr::SmrAppendMsg& m, WireWriter& w) {
         w.svarint(m.epoch);
         w.svarint(m.slot);
@@ -320,7 +317,7 @@ CodecRegistry build() {
         return m;
       }));
   reg.add(codec<smr::SmrAckMsg>(
-      15, smr::kSmrAckType,
+      MsgType::kSmrAck,
       [](const smr::SmrAckMsg& m, WireWriter& w) {
         w.svarint(m.epoch);
         w.varint(m.replica);
@@ -342,7 +339,7 @@ CodecRegistry build() {
         return m;
       }));
   reg.add(codec<smr::SmrNewEpochMsg>(
-      16, smr::kSmrNewEpochType,
+      MsgType::kSmrNewEpoch,
       [](const smr::SmrNewEpochMsg& m, WireWriter& w) {
         w.svarint(m.epoch);
         w.svarint(m.from_slot);
@@ -356,7 +353,7 @@ CodecRegistry build() {
         return m;
       }));
   reg.add(codec<smr::SmrPromiseMsg>(
-      17, smr::kSmrPromiseType,
+      MsgType::kSmrPromise,
       [](const smr::SmrPromiseMsg& m, WireWriter& w) {
         w.svarint(m.epoch);
         w.varint(m.replica);
@@ -390,7 +387,7 @@ CodecRegistry build() {
         return m;
       }));
   reg.add(codec<smr::SmrProposeMsg>(
-      18, smr::kSmrProposeType,
+      MsgType::kSmrPropose,
       [](const smr::SmrProposeMsg& m, WireWriter& w) {
         w.svarint(m.epoch);
         w.svarint(m.slot);

@@ -326,7 +326,7 @@ void NetSystem::note_causal_delivery(const Message& m) {
   causal_.parent = m.meta_causal_id;
   causal_.merge(m.meta_causal_clock);
   std::lock_guard lk(trace_mu_);
-  trace_.record(now_ms(), TraceEvent::Kind::kDeliver, self_, m.type, m.meta_causal_id,
+  trace_.record(now_ms(), TraceEvent::Kind::kDeliver, self_, type_name(m.type), m.meta_causal_id,
                 m.meta_causal_parent);
 }
 
@@ -342,8 +342,8 @@ void NetSystem::broadcast_from_self(const Message& m) {
     stamped.meta_causal_id = causal_.fresh();
     stamped.meta_causal_clock = causal_.tick();
     std::lock_guard lk(trace_mu_);
-    trace_.record(stamped.meta_sent_at, TraceEvent::Kind::kBroadcast, self_, stamped.type,
-                  stamped.meta_causal_id, stamped.meta_causal_parent);
+    trace_.record(stamped.meta_sent_at, TraceEvent::Kind::kBroadcast, self_,
+                  type_name(stamped.type), stamped.meta_causal_id, stamped.meta_causal_parent);
   }
   std::vector<std::uint8_t> frame;
   try {
@@ -355,7 +355,7 @@ void NetSystem::broadcast_from_self(const Message& m) {
     // visible in stats, analogous to an MTU blackhole).
     std::lock_guard lk(stats_mu_);
     ++stats_.broadcasts;
-    ++stats_.broadcasts_by_type[stamped.type];
+    ++broadcasts_by_tag_[tag_of(stamped.type)];
     stats_.copies_lost_link += peers_.size();
     obs::inc(m_copies_lost_link_, peers_.size());
     return;
@@ -402,7 +402,7 @@ void NetSystem::broadcast_from_self(const Message& m) {
   {
     std::lock_guard lk(stats_mu_);
     ++stats_.broadcasts;
-    ++stats_.broadcasts_by_type[stamped.type];
+    ++broadcasts_by_tag_[tag_of(stamped.type)];
     stats_.copies_sent += sent;
     stats_.copies_lost_link += dropped;
     stats_.copies_duplicated += duplicated;
@@ -698,7 +698,13 @@ bool NetSystem::wait_for(const std::function<bool()>& pred, std::chrono::millise
 
 NetNetworkStats NetSystem::net_stats() {
   std::lock_guard lk(stats_mu_);
-  return stats_;
+  NetNetworkStats out = stats_;
+  for (std::size_t t = 0; t < broadcasts_by_tag_.size(); ++t) {
+    if (broadcasts_by_tag_[t] != 0) {
+      out.broadcasts_by_type[type_name(static_cast<MsgType>(t))] = broadcasts_by_tag_[t];
+    }
+  }
+  return out;
 }
 
 RelStats NetSystem::rel_stats() {

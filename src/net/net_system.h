@@ -37,6 +37,7 @@
 // never acked.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -108,7 +109,7 @@ struct NetNetworkStats {
   std::uint64_t packets_sent = 0;       // datagrams handed to the kernel
   std::uint64_t packets_received = 0;   // datagrams received
   std::uint64_t decode_errors = 0;      // malformed frames/batches rejected
-  std::map<std::string, std::uint64_t> broadcasts_by_type;
+  std::map<std::string, std::uint64_t> broadcasts_by_type;  // keyed by type_name
 };
 
 class NetSystem {
@@ -269,7 +270,8 @@ class NetSystem {
   obs::Histogram* m_batch_bytes_ = nullptr;   // payload bytes per sent datagram
 
   std::mutex stats_mu_;
-  NetNetworkStats stats_;
+  NetNetworkStats stats_;  // broadcasts_by_type is filled in by net_stats()
+  std::array<std::uint64_t, 256> broadcasts_by_tag_{};  // under stats_mu_
 
   // Peer barrier state (recv thread writes, await_peers reads).
   std::mutex peers_mu_;

@@ -191,7 +191,7 @@ void ReliableChannel::update_rtt(SendLink& s, double sample_ms) {
   obs::observe(m_rtt_ms_, static_cast<std::int64_t>(sample_ms + 0.5));
 }
 
-std::vector<std::uint8_t> ReliableChannel::wrap_data(ProcIndex to, const std::string& type,
+std::vector<std::uint8_t> ReliableChannel::wrap_data(ProcIndex to, MsgType type,
                                                      const std::vector<std::uint8_t>& inner,
                                                      RelTime now) {
   std::lock_guard lk(mu_);
@@ -366,7 +366,7 @@ std::vector<RelSend> ReliableChannel::note_peer_epoch(ProcIndex peer, std::uint6
   for (Inflight& f : old) {
     Inflight fresh;
     fresh.seq = s.next_seq++;
-    fresh.type = std::move(f.type);
+    fresh.type = f.type;
     fresh.inner = std::move(f.inner);
     fresh.first_sent = now;
     fresh.last_sent = now;
@@ -422,8 +422,8 @@ std::vector<RelSend> ReliableChannel::tick(RelTime now) {
     ++st_.acks_sent;
     obs::inc(m_acks_sent_);
     const RelAckBody body{r.epoch, r.cum, ack_bits_of(r)};
-    out.push_back(
-        RelSend{p, "REL_ACK", encode_control_frame(kTagRelAck, self_, self_id_, rel_ack_body(body))});
+    out.push_back(RelSend{p, MsgType{kTagRelAck},
+                          encode_control_frame(kTagRelAck, self_, self_id_, rel_ack_body(body))});
   }
   return out;
 }
@@ -451,7 +451,7 @@ RelStats ReliableChannel::stats() {
 // --------------------------------------------------------------- emulator
 
 CopyVerdict ReliableLinkEmulator::on_copy(SimTime now, ProcIndex from, ProcIndex to,
-                                          const std::string& type) {
+                                          MsgType type) {
   CopyVerdict v = inner_.on_copy(now, from, to, type);
   dedup_suppressed_ += v.duplicates;
   v.duplicates = 0;

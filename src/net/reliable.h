@@ -52,7 +52,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/link_fault.h"
@@ -131,10 +130,10 @@ struct RelStats {
 
 // One frame the caller should transmit: retransmissions carry the original
 // message type (so fault interposers judge them like any other copy);
-// standalone acks carry type "REL_ACK".
+// standalone acks carry the control tag kTagRelAck.
 struct RelSend {
   ProcIndex to = 0;
-  std::string type;
+  MsgType type = MsgType::kNone;
   std::vector<std::uint8_t> frame;
 };
 
@@ -148,7 +147,7 @@ class ReliableChannel {
   // Sender: assigns the next sequence number on self -> to, records the
   // frame in-flight, and returns the wrapped wire bytes for the first
   // transmission attempt (with the reverse direction's acks piggybacked).
-  std::vector<std::uint8_t> wrap_data(ProcIndex to, const std::string& type,
+  std::vector<std::uint8_t> wrap_data(ProcIndex to, MsgType type,
                                       const std::vector<std::uint8_t>& inner, RelTime now);
 
   // Receiver: folds an arrived data frame's ARQ header in. Returns the
@@ -178,7 +177,7 @@ class ReliableChannel {
  private:
   struct Inflight {
     std::uint64_t seq = 0;
-    std::string type;
+    MsgType type = MsgType::kNone;
     std::vector<std::uint8_t> inner;  // unwrapped v1 frame; re-wrapped per attempt
     RelTime first_sent{};
     RelTime last_sent{};  // latest transmission attempt
@@ -260,7 +259,7 @@ class ReliableLinkEmulator final : public LinkInterposer {
   explicit ReliableLinkEmulator(LinkInterposer& inner) : inner_(inner) {}
   ReliableLinkEmulator(LinkInterposer& inner, Config cfg) : inner_(inner), cfg_(cfg) {}
 
-  CopyVerdict on_copy(SimTime now, ProcIndex from, ProcIndex to, const std::string& type) override;
+  CopyVerdict on_copy(SimTime now, ProcIndex from, ProcIndex to, MsgType type) override;
 
   [[nodiscard]] std::uint64_t recovered() const { return recovered_; }
   [[nodiscard]] std::uint64_t dedup_suppressed() const { return dedup_suppressed_; }

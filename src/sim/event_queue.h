@@ -56,7 +56,7 @@ class CalendarQueue {
   // strictly greater than the lane being executed (see sim/lane.h).
   void push(SimTime t, Lane lane, Action fn) {
     if (t < window_end_ && t >= base_) {
-      Bucket& b = ring_[slot_of(t)];
+      Bucket& b = ring_[bucket_of(t)];
       if (b.sorted && !bucket_empty(b) && lane < b.items.back().lane) b.sorted = false;
       b.items.push_back(Item{lane, std::move(fn)});
       ++window_count_;
@@ -84,7 +84,7 @@ class CalendarQueue {
     if (window_count_ == 0) advance_window_to(overflow_.begin()->first);
     advance_cursor();
     t = cursor_;
-    Bucket& b = ring_[slot_of(cursor_)];
+    Bucket& b = ring_[bucket_of(cursor_)];
     if (!b.sorted) {
       std::sort(b.items.begin() + static_cast<std::ptrdiff_t>(b.head), b.items.end(),
                 [](const Item& x, const Item& y) { return x.lane < y.lane; });
@@ -114,7 +114,7 @@ class CalendarQueue {
     bool sorted = true;  // [head, end) is in ascending lane order
   };
 
-  [[nodiscard]] std::size_t slot_of(SimTime t) const {
+  [[nodiscard]] std::size_t bucket_of(SimTime t) const {
     return static_cast<std::size_t>(t) & (kSlots - 1);
   }
 
@@ -123,7 +123,7 @@ class CalendarQueue {
   // Walks the cursor to the first non-empty in-window bucket.
   // Precondition: window_count_ > 0.
   void advance_cursor() {
-    while (bucket_empty(ring_[slot_of(cursor_)])) ++cursor_;
+    while (bucket_empty(ring_[bucket_of(cursor_)])) ++cursor_;
   }
 
   // Re-bases the (fully drained) window so it starts at `t` and migrates
@@ -136,7 +136,7 @@ class CalendarQueue {
     cursor_ = t;
     auto it = overflow_.begin();
     while (it != overflow_.end() && it->first < window_end_) {
-      Bucket& b = ring_[slot_of(it->first)];
+      Bucket& b = ring_[bucket_of(it->first)];
       b.items = std::move(it->second);
       b.head = 0;
       b.sorted = false;

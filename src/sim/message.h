@@ -12,14 +12,14 @@
 
 #include <any>
 #include <cstdint>
-#include <string>
 
+#include "common/msg_type.h"
 #include "common/types.h"
 
 namespace hds {
 
 struct Message {
-  std::string type;  // e.g. "COORD", "POLLING"; used for routing and stats
+  MsgType type = MsgType::kNone;  // routing, stats and the v1 body tag
   std::any body;     // algorithm-defined value struct
 
   // Instrumentation only (see header comment). Filled in by the network.
@@ -47,8 +47,8 @@ struct Message {
 };
 
 template <typename T>
-Message make_message(std::string type, T body) {
-  return Message{std::move(type), std::move(body), 0};
+Message make_message(MsgType type, T body) {
+  return Message{type, std::move(body), 0};
 }
 
 }  // namespace hds

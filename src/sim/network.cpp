@@ -28,24 +28,6 @@ Network::Network(Scheduler& sched, TimingModel& timing, std::vector<Rng>& rngs,
   }
 }
 
-std::size_t Network::slot_of(const std::string& type) {
-  if (last_slot_ != SIZE_MAX && slots_[last_slot_].name == type) return last_slot_;
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    if (slots_[s].name == type) {
-      last_slot_ = s;
-      return s;
-    }
-  }
-  TypeSlot slot;
-  slot.name = type;
-  if (metrics_ != nullptr) {
-    slot.counter = &metrics_->counter("net_broadcasts_total", {{"type", type}});
-  }
-  slots_.push_back(std::move(slot));
-  last_slot_ = slots_.size() - 1;
-  return last_slot_;
-}
-
 std::vector<ProcIndex> Network::take_tos_buffer() {
   if (tos_pool_.empty()) return {};
   std::vector<ProcIndex> buf = std::move(tos_pool_.back());
@@ -93,10 +75,14 @@ void Network::schedule_fanout(SimTime at, Lane lane, std::shared_ptr<const Messa
 
 void Network::broadcast(ProcIndex from, Message m, double dying_delivery_prob) {
   ++stats_.broadcasts;
-  {
-    TypeSlot& slot = slots_[slot_of(m.type)];
-    ++slot.broadcasts;
-    if (slot.counter != nullptr) slot.counter->inc();
+  const std::uint8_t tag = tag_of(m.type);
+  ++broadcasts_by_tag_[tag];
+  if (metrics_ != nullptr) {
+    obs::Counter*& c = broadcast_counters_[tag];
+    if (c == nullptr) {
+      c = &metrics_->counter("net_broadcasts_total", {{"type", type_name(m.type)}});
+    }
+    c->inc();
   }
   m.meta_sender = from;
   m.meta_sent_at = sched_.now();
@@ -115,8 +101,9 @@ void Network::broadcast(ProcIndex from, Message m, double dying_delivery_prob) {
   auto shared = std::make_shared<const Message>(std::move(m));
   const SimTime sent = sched_.now();
   const bool traced = sink_ != nullptr && sink_->enabled();
+  const char* const tname = type_name(shared->type);
   if (traced) {
-    sink_->record(sent, sched_.current_lane(), TraceEvent::Kind::kBroadcast, from, shared->type,
+    sink_->record(sent, sched_.current_lane(), TraceEvent::Kind::kBroadcast, from, tname,
                   shared->meta_causal_id, shared->meta_causal_parent);
   }
   Rng& rng = rngs_[from];
@@ -127,7 +114,7 @@ void Network::broadcast(ProcIndex from, Message m, double dying_delivery_prob) {
       ++stats_.copies_lost_dying_sender;
       obs::inc(m_copies_lost_dying_);
       if (traced) {
-        sink_->record(sent, sched_.current_lane(), TraceEvent::Kind::kLostDying, to, shared->type,
+        sink_->record(sent, sched_.current_lane(), TraceEvent::Kind::kLostDying, to, tname,
                       shared->meta_causal_id, shared->meta_causal_parent);
       }
       continue;
@@ -138,7 +125,7 @@ void Network::broadcast(ProcIndex from, Message m, double dying_delivery_prob) {
       ++stats_.copies_lost_link;
       obs::inc(m_copies_lost_link_);
       if (traced) {
-        sink_->record(sent, sched_.current_lane(), TraceEvent::Kind::kLost, to, shared->type,
+        sink_->record(sent, sched_.current_lane(), TraceEvent::Kind::kLost, to, tname,
                       shared->meta_causal_id, shared->meta_causal_parent);
       }
       continue;
@@ -150,7 +137,7 @@ void Network::broadcast(ProcIndex from, Message m, double dying_delivery_prob) {
       ++stats_.copies_lost_link;
       obs::inc(m_copies_lost_link_);
       if (traced) {
-        sink_->record(sent, sched_.current_lane(), TraceEvent::Kind::kLost, to, shared->type,
+        sink_->record(sent, sched_.current_lane(), TraceEvent::Kind::kLost, to, tname,
                       shared->meta_causal_id, shared->meta_causal_parent);
       }
       continue;
@@ -163,7 +150,7 @@ void Network::broadcast(ProcIndex from, Message m, double dying_delivery_prob) {
       obs::inc(m_copies_duplicated_);
       obs::inc(m_bytes_sent_, shared->meta_wire_bytes);
       if (traced) {
-        sink_->record(sent, sched_.current_lane(), TraceEvent::Kind::kDuplicate, to, shared->type,
+        sink_->record(sent, sched_.current_lane(), TraceEvent::Kind::kDuplicate, to, tname,
                       shared->meta_causal_id, shared->meta_causal_parent);
       }
       const SimTime trail =
@@ -182,7 +169,11 @@ void Network::broadcast(ProcIndex from, Message m, double dying_delivery_prob) {
 }
 
 const NetworkStats& Network::stats() {
-  for (const TypeSlot& slot : slots_) stats_.broadcasts_by_type[slot.name] = slot.broadcasts;
+  for (std::size_t t = 0; t < broadcasts_by_tag_.size(); ++t) {
+    if (broadcasts_by_tag_[t] != 0) {
+      stats_.broadcasts_by_type[type_name(static_cast<MsgType>(t))] = broadcasts_by_tag_[t];
+    }
+  }
   return stats_;
 }
 

@@ -3,10 +3,9 @@
 //
 // Hot-path design: one broadcast schedules ONE event per distinct delivery
 // time (grouping every same-time copy into a fan-out list) instead of one
-// closure per directed link, message types are interned to small-int slots
-// (the string-keyed map lookup happens once per distinct type, not once per
-// broadcast), and the destination buffers recycle through a pool so the
-// steady state allocates nothing per broadcast.
+// closure per directed link, per-type counters are arrays indexed by the
+// one-byte message kind, and the destination buffers recycle through a pool
+// so the steady state allocates nothing per broadcast.
 //
 // Sharding: the owning System instantiates one Network per shard, sharing
 // the per-process RNG rows, broadcast counters and causal sessions (each
@@ -21,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -56,9 +56,9 @@ struct NetworkStats {
   // substrate pays; received counts copies handed to an alive process.
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
-  // String-keyed view of the interned per-type broadcast counts, rebuilt by
+  // Named view of the per-kind broadcast counts (type_name keys), rebuilt by
   // Network::stats() for JSON snapshots and assertions (the live counters
-  // are slot-indexed).
+  // are tag-indexed).
   std::map<std::string, std::uint64_t> broadcasts_by_type;
 
   [[nodiscard]] std::uint64_t copies_lost() const {
@@ -134,8 +134,7 @@ class Network {
   // Destination hook for cross-shard fan-out groups (sharded mode only).
   void set_cross_send(CrossSend cs) { cross_send_ = std::move(cs); }
 
-  // Synchronizes the string-keyed by-type view from the interned slots; the
-  // result stays valid until the next broadcast of a brand-new type.
+  // Synchronizes the named by-type view from the tag-indexed counters.
   [[nodiscard]] const NetworkStats& stats();
   void note_copy_to_dead() {
     ++stats_.copies_to_dead;
@@ -152,14 +151,6 @@ class Network {
   }
 
  private:
-  // Interned per-message-type state: one slot per distinct type string,
-  // resolved once, then addressed by index.
-  struct TypeSlot {
-    std::string name;
-    std::uint64_t broadcasts = 0;
-    obs::Counter* counter = nullptr;  // null when metrics are detached
-  };
-
   // A fan-out group: every destination whose copy of the current broadcast
   // arrives at the same instant ON THE SAME SHARD, delivered by a single
   // scheduled event (local) or one mailbox push (cross-shard).
@@ -169,7 +160,6 @@ class Network {
     std::vector<ProcIndex> tos;
   };
 
-  std::size_t slot_of(const std::string& type);
   std::vector<ProcIndex> take_tos_buffer();
   void add_to_fanout(SimTime at, ProcIndex to);
 
@@ -189,8 +179,11 @@ class Network {
   CrossSend cross_send_;
   NetworkStats stats_;
 
-  std::vector<TypeSlot> slots_;
-  std::size_t last_slot_ = SIZE_MAX;  // fast path: consecutive same-type broadcasts
+  // Per-kind broadcast counts and their net_broadcasts_total{type=...}
+  // counters, indexed by tag_of(type); a counter is created on its kind's
+  // first broadcast (null while metrics are detached).
+  std::array<std::uint64_t, 256> broadcasts_by_tag_{};
+  std::array<obs::Counter*, 256> broadcast_counters_{};
 
   std::vector<Fanout> fanout_;     // groups of the in-flight broadcast (reused)
   std::size_t fanout_used_ = 0;    // live prefix of fanout_

@@ -130,12 +130,12 @@ System::System(SystemConfig cfg)
     sh.net->set_causal(trace_.enabled() ? &sessions_ : nullptr);
     // Byte accounting: estimate each broadcast's frame size with the v1 wire
     // codec, so sim runs report costs comparable with the socket substrate.
-    // The per-sender envelope and the per-type codec lookup are memoized;
-    // only the body is counting-encoded per broadcast, so sizes stay exact
-    // even for bodies whose varint-encoded length varies run to run.
-    sh.net->set_byte_meter([this, s](const Message& m, ProcIndex from) -> std::size_t {
+    // The per-sender envelope is memoized and the codec is an array index
+    // on the tag; only the body is counting-encoded per broadcast, so sizes
+    // stay exact even for bodies whose varint-encoded length varies.
+    sh.net->set_byte_meter([this](const Message& m, ProcIndex from) -> std::size_t {
       HDS_PROF_SCOPE(obs::ProfSubsystem::kCodecEncode);
-      const net::BodyCodec* c = meter_codec_of(*shards_vec_[s], m.type);
+      const net::BodyCodec* c = net::builtin_codecs().by_tag(tag_of(m.type));
       if (c == nullptr) return 0;
       const std::size_t body = net::encoded_body_size(*c, m);
       return frame_overhead_by_sender_[from] + net::varint_size(body) + body;
@@ -193,21 +193,6 @@ void System::start() {
       });
     }
   }
-}
-
-const net::BodyCodec* System::meter_codec_of(ShardState& sh, const std::string& type) {
-  if (sh.meter_last != SIZE_MAX && sh.meter_cache[sh.meter_last].type == type) {
-    return sh.meter_cache[sh.meter_last].codec;
-  }
-  for (std::size_t s = 0; s < sh.meter_cache.size(); ++s) {
-    if (sh.meter_cache[s].type == type) {
-      sh.meter_last = s;
-      return sh.meter_cache[s].codec;
-    }
-  }
-  sh.meter_cache.push_back(MeterCacheEntry{type, net::builtin_codecs().by_type(type)});
-  sh.meter_last = sh.meter_cache.size() - 1;
-  return sh.meter_cache[sh.meter_last].codec;
 }
 
 Scheduler& System::scheduler() {
@@ -361,8 +346,8 @@ void System::deliver(std::size_t shard, ProcIndex to, const std::shared_ptr<cons
   const SimTime now = sh.sched.now();
   if (!is_alive_at(to, now)) {
     sh.net->note_copy_to_dead();
-    sh.sink.record(now, sh.sched.current_lane(), TraceEvent::Kind::kToDead, to, m->type,
-                   m->meta_causal_id, m->meta_causal_parent);
+    sh.sink.record(now, sh.sched.current_lane(), TraceEvent::Kind::kToDead, to,
+                   type_name(m->type), m->meta_causal_id, m->meta_causal_parent);
     return;
   }
   sh.net->note_delivered(now - m->meta_sent_at, m->meta_wire_bytes);
@@ -373,8 +358,8 @@ void System::deliver(std::size_t shard, ProcIndex to, const std::shared_ptr<cons
     cs.parent = m->meta_causal_id;
     cs.merge(m->meta_causal_clock);
     if (shards_ == 1) causal_obs_.parent = m->meta_causal_id;
-    sh.sink.record(now, sh.sched.current_lane(), TraceEvent::Kind::kDeliver, to, m->type,
-                   m->meta_causal_id, m->meta_causal_parent);
+    sh.sink.record(now, sh.sched.current_lane(), TraceEvent::Kind::kDeliver, to,
+                   type_name(m->type), m->meta_causal_id, m->meta_causal_parent);
   }
   HDS_PROF_SCOPE(obs::ProfSubsystem::kFdStep);
   procs_.at(to)->on_message(*envs_.at(to), *m);

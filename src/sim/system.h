@@ -44,9 +44,6 @@
 
 namespace hds {
 
-namespace net {
-struct BodyCodec;  // net/codec.h
-}
 namespace exp {
 class ShardPool;  // exp/pool.h
 }
@@ -154,24 +151,12 @@ class System {
  private:
   class NodeEnv;
 
-  // Memoized byte-meter state: the per-sender frame envelope is constant,
-  // and the codec resolution is per distinct message type; only the body is
-  // (counting-)encoded per broadcast, so metered sizes stay exact. A null
-  // codec entry memoizes "type not registered" (meters to 0). One cache per
-  // shard (concurrent lookups).
-  struct MeterCacheEntry {
-    std::string type;
-    const net::BodyCodec* codec = nullptr;
-  };
-
-  // Per-shard engine state: its own scheduler, network facade, trace sink
-  // and byte-meter cache; everything a worker touches without locks.
+  // Per-shard engine state: its own scheduler, network facade and trace
+  // sink; everything a worker touches without locks.
   struct ShardState {
     Scheduler sched;
     TraceSink sink;
     std::unique_ptr<Network> net;
-    std::vector<MeterCacheEntry> meter_cache;
-    std::size_t meter_last = SIZE_MAX;  // fast path: same-type broadcast runs
     ShardState(QueueKind kind, TraceLog* log) : sched(kind), sink(log) {}
   };
 
@@ -184,8 +169,6 @@ class System {
                                                        std::size_t to_shard) {
     return *mail_[from_shard * shards_ + to_shard];
   }
-
-  [[nodiscard]] const net::BodyCodec* meter_codec_of(ShardState& sh, const std::string& type);
 
   std::vector<Id> ids_;
   std::vector<std::optional<CrashPlan>> crashes_;

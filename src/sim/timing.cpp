@@ -12,7 +12,7 @@ AsyncTiming::AsyncTiming(SimTime min_delay, SimTime max_delay)
 }
 
 std::optional<SimTime> AsyncTiming::delivery_at(SimTime sent, ProcIndex, ProcIndex,
-                                                const std::string&, Rng& rng) {
+                                                MsgType, Rng& rng) {
   return sent + rng.uniform(min_delay_, max_delay_);
 }
 
@@ -32,7 +32,7 @@ PartialSyncTiming::PartialSyncTiming(Params p) : params_(p) {
 }
 
 std::optional<SimTime> PartialSyncTiming::delivery_at(SimTime sent, ProcIndex from, ProcIndex to,
-                                                      const std::string&, Rng& rng) {
+                                                      MsgType, Rng& rng) {
   if (sent >= params_.gst) return sent + rng.uniform(1, params_.delta);
   double loss = params_.pre_gst_loss;
   SimTime max_delay = params_.pre_gst_max_delay;
@@ -52,7 +52,7 @@ BoundedTiming::BoundedTiming(SimTime bound) : bound_(bound) {
 }
 
 std::optional<SimTime> BoundedTiming::delivery_at(SimTime sent, ProcIndex, ProcIndex,
-                                                  const std::string&, Rng& rng) {
+                                                  MsgType, Rng& rng) {
   return sent + rng.uniform(1, bound_);
 }
 
@@ -76,7 +76,7 @@ SimTime TypeBiasedTiming::min_delay() const {
 }
 
 std::optional<SimTime> TypeBiasedTiming::delivery_at(SimTime sent, ProcIndex, ProcIndex to,
-                                                     const std::string& type, Rng&) {
+                                                     MsgType type, Rng&) {
   auto it = params_.delay_by_type.find(type);
   const SimTime base = it == params_.delay_by_type.end() ? params_.default_delay : it->second;
   return sent + base + params_.per_destination_stagger * static_cast<SimTime>(to);
@@ -102,7 +102,7 @@ SimTime PerLinkTiming::base_delay(ProcIndex from, ProcIndex to) const {
 }
 
 std::optional<SimTime> PerLinkTiming::delivery_at(SimTime sent, ProcIndex from, ProcIndex to,
-                                                  const std::string&, Rng& rng) {
+                                                  MsgType, Rng& rng) {
   const SimTime j = jitter_ > 0 ? rng.uniform(0, jitter_) : 0;
   return sent + base_delay(from, to) + j;
 }

@@ -13,8 +13,8 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <string>
 
+#include "common/msg_type.h"
 #include "common/rng.h"
 #include "common/types.h"
 
@@ -29,7 +29,7 @@ class TimingModel {
   // before GST in the partially synchronous model; never in the others).
   // Most models ignore `type`; the adversarial TypeBiasedTiming keys on it.
   virtual std::optional<SimTime> delivery_at(SimTime sent, ProcIndex from, ProcIndex to,
-                                             const std::string& type, Rng& rng) = 0;
+                                             MsgType type, Rng& rng) = 0;
 
   // Lower bound on the delivery delay of any copy on any link: every
   // surviving copy arrives at or after sent + min_delay(). The sharded
@@ -45,7 +45,7 @@ class AsyncTiming final : public TimingModel {
  public:
   AsyncTiming(SimTime min_delay, SimTime max_delay);
   std::optional<SimTime> delivery_at(SimTime sent, ProcIndex from, ProcIndex to,
-                                     const std::string& type, Rng& rng) override;
+                                     MsgType type, Rng& rng) override;
   [[nodiscard]] SimTime min_delay() const override { return min_delay_; }
 
  private:
@@ -76,7 +76,7 @@ class PartialSyncTiming final : public TimingModel {
   };
   explicit PartialSyncTiming(Params p);
   std::optional<SimTime> delivery_at(SimTime sent, ProcIndex from, ProcIndex to,
-                                     const std::string& type, Rng& rng) override;
+                                     MsgType type, Rng& rng) override;
 
   [[nodiscard]] const Params& params() const { return params_; }
 
@@ -90,7 +90,7 @@ class BoundedTiming final : public TimingModel {
  public:
   explicit BoundedTiming(SimTime bound);
   std::optional<SimTime> delivery_at(SimTime sent, ProcIndex from, ProcIndex to,
-                                     const std::string& type, Rng& rng) override;
+                                     MsgType type, Rng& rng) override;
 
  private:
   SimTime bound_;
@@ -106,12 +106,12 @@ class TypeBiasedTiming final : public TimingModel {
  public:
   struct Params {
     SimTime default_delay = 1;
-    std::map<std::string, SimTime> delay_by_type;  // overrides per type
+    std::map<MsgType, SimTime> delay_by_type;  // overrides per type
     SimTime per_destination_stagger = 0;           // adds to * stagger
   };
   explicit TypeBiasedTiming(Params p);
   std::optional<SimTime> delivery_at(SimTime sent, ProcIndex from, ProcIndex to,
-                                     const std::string& type, Rng& rng) override;
+                                     MsgType type, Rng& rng) override;
   [[nodiscard]] SimTime min_delay() const override;
 
  private:
@@ -128,7 +128,7 @@ class PerLinkTiming final : public TimingModel {
  public:
   PerLinkTiming(SimTime min_delay, SimTime max_delay, SimTime jitter, std::uint64_t seed);
   std::optional<SimTime> delivery_at(SimTime sent, ProcIndex from, ProcIndex to,
-                                     const std::string& type, Rng& rng) override;
+                                     MsgType type, Rng& rng) override;
 
   [[nodiscard]] SimTime base_delay(ProcIndex from, ProcIndex to) const;
   [[nodiscard]] SimTime min_delay() const override { return min_delay_; }

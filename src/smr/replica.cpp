@@ -79,17 +79,17 @@ void SmrReplica::on_start(Env& env) {
 }
 
 void SmrReplica::on_message(Env& env, const Message& m) {
-  if (m.type == kSmrAppendType) {
+  if (m.type == MsgType::kSmrAppend) {
     if (const auto* b = m.as<SmrAppendMsg>()) on_append(env, *b);
-  } else if (m.type == kSmrAckType) {
+  } else if (m.type == MsgType::kSmrAck) {
     if (const auto* b = m.as<SmrAckMsg>()) on_ack(env, *b);
-  } else if (m.type == kSmrNewEpochType) {
+  } else if (m.type == MsgType::kSmrNewEpoch) {
     if (const auto* b = m.as<SmrNewEpochMsg>()) on_new_epoch(env, *b);
-  } else if (m.type == kSmrPromiseType) {
+  } else if (m.type == MsgType::kSmrPromise) {
     if (const auto* b = m.as<SmrPromiseMsg>()) on_promise(env, *b);
-  } else if (m.type == kSmrProposeType) {
+  } else if (m.type == MsgType::kSmrPropose) {
     if (const auto* b = m.as<SmrProposeMsg>()) on_propose(env, *b);
-  } else if (m.type == kDecideType) {
+  } else if (m.type == MsgType::kDecide) {
     if (const auto* b = m.as<DecideMsg>()) {
       const std::int64_t s = b->instance;
       if (s <= applied_through_) return;
@@ -102,13 +102,13 @@ void SmrReplica::on_message(Env& env, const Message& m) {
         on_decide(env, s, b->v);
       }
     }
-  } else if (m.type == kCoordType) {
+  } else if (m.type == MsgType::kCoord) {
     if (const auto* b = m.as<CoordMsg>()) route_consensus(env, m, b->instance);
-  } else if (m.type == kPh0Type) {
+  } else if (m.type == MsgType::kPh0) {
     if (const auto* b = m.as<Ph0Msg>()) route_consensus(env, m, b->instance);
-  } else if (m.type == kPh1Type) {
+  } else if (m.type == MsgType::kPh1) {
     if (const auto* b = m.as<Ph1Msg>()) route_consensus(env, m, b->instance);
-  } else if (m.type == kPh2Type) {
+  } else if (m.type == MsgType::kPh2) {
     if (const auto* b = m.as<Ph2Msg>()) route_consensus(env, m, b->instance);
   }
   // Anything else belongs to other components of the stack (FD traffic).
@@ -213,14 +213,14 @@ void SmrReplica::lease_tick(Env& env) {
     // current phase. Receivers treat the duplicates idempotently.
     recovery_started_ = now;
     if (!recovery_proposed_) {
-      env.broadcast(make_message(kSmrNewEpochType,
+      env.broadcast(make_message(MsgType::kSmrNewEpoch,
                                  SmrNewEpochMsg{recovery_epoch_, recovery_from_, cfg_.replica}));
     } else {
       for (const std::int64_t s : recovery_pending_) {
         const InstanceManager::Slot* rec = im_.find(s);
         if (rec != nullptr && rec->has_entry) {
           env.broadcast(
-              make_message(kSmrProposeType, SmrProposeMsg{recovery_epoch_, s, rec->batch}));
+              make_message(MsgType::kSmrPropose, SmrProposeMsg{recovery_epoch_, s, rec->batch}));
         }
       }
     }
@@ -244,7 +244,8 @@ void SmrReplica::start_epoch(Env& env) {
   recovery_pending_.clear();
   ++epochs_started_;
   obs::inc(m_epoch_changes_);
-  env.broadcast(make_message(kSmrNewEpochType, SmrNewEpochMsg{e, recovery_from_, cfg_.replica}));
+  env.broadcast(
+      make_message(MsgType::kSmrNewEpoch, SmrNewEpochMsg{e, recovery_from_, cfg_.replica}));
 }
 
 void SmrReplica::on_new_epoch(Env& env, const SmrNewEpochMsg& ne) {
@@ -259,7 +260,7 @@ void SmrReplica::on_new_epoch(Env& env, const SmrNewEpochMsg& ne) {
       pr.entries.push_back(SmrLogRec{it->first, rec.epoch, rec.committed, rec.batch});
     }
   }
-  env.broadcast(make_message(kSmrPromiseType, std::move(pr)));
+  env.broadcast(make_message(MsgType::kSmrPromise, std::move(pr)));
 }
 
 void SmrReplica::on_promise(Env& env, const SmrPromiseMsg& pr) {
@@ -311,7 +312,7 @@ void SmrReplica::finish_recovery(Env& env) {
     rec.has_entry = true;
     rec.batch = b;
     rec.epoch = recovery_epoch_;
-    env.broadcast(make_message(kSmrProposeType, SmrProposeMsg{recovery_epoch_, s, b}));
+    env.broadcast(make_message(MsgType::kSmrPropose, SmrProposeMsg{recovery_epoch_, s, b}));
     im_.get_or_create(s, b.id, *fd_, slot_env(s, env));
     ++recovery_instances_;
     obs::inc(m_recovery_instances_);
@@ -447,7 +448,7 @@ void SmrReplica::ack_tick(Env& env) {
       a.pending.push_back(op);
     }
   }
-  env.broadcast(make_message(kSmrAckType, std::move(a)));
+  env.broadcast(make_message(MsgType::kSmrAck, std::move(a)));
   ++acks_sent_;
   obs::inc(m_acks_);
   // Repair is NOT a leader privilege: it only ever re-sends entries that
@@ -492,7 +493,7 @@ void SmrReplica::flush_batches(Env& env) {
     for (const SmrOp& op : b.ops) inflight_ops_.insert({op.client, op.seq});
     SmrAppendMsg ap{current_epoch_, s, b, commit_records_since(commits_broadcast_through_)};
     commits_broadcast_through_ = committed_through_;
-    env.broadcast(make_message(kSmrAppendType, std::move(ap)));
+    env.broadcast(make_message(MsgType::kSmrAppend, std::move(ap)));
     ++appends_sent_;
     obs::inc(m_appends_);
   }
@@ -666,7 +667,7 @@ void SmrReplica::repair_peers(Env& env) {
     const InstanceManager::Slot* rec = im_.find(s);
     if (rec == nullptr || !rec->committed || !rec->has_entry) continue;
     SmrAppendMsg ap{current_epoch_, s, rec->batch, {SmrCommitRec{s, rec->batch.id}}};
-    env.broadcast(make_message(kSmrAppendType, std::move(ap)));
+    env.broadcast(make_message(MsgType::kSmrAppend, std::move(ap)));
     ++repair_appends_sent_;
     obs::inc(m_repair_appends_);
   }

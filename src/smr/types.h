@@ -137,10 +137,4 @@ struct SmrProposeMsg {
   friend bool operator==(const SmrProposeMsg&, const SmrProposeMsg&) = default;
 };
 
-inline constexpr const char* kSmrAppendType = "SMR_APPEND";
-inline constexpr const char* kSmrAckType = "SMR_ACK";
-inline constexpr const char* kSmrNewEpochType = "SMR_NEW_EPOCH";
-inline constexpr const char* kSmrPromiseType = "SMR_PROMISE";
-inline constexpr const char* kSmrProposeType = "SMR_PROPOSE";
-
 }  // namespace hds::smr

@@ -51,7 +51,7 @@ TEST(AdversarialTiming, StalledPh2StillSafeAndLive) {
   // from wildly skewed snapshots.
   TypeBiasedTiming::Params p;
   p.default_delay = 1;
-  p.delay_by_type = {{kPh2Type, 40}};
+  p.delay_by_type = {{MsgType::kPh2, 40}};
   auto r = run_fig8_with_timing(std::make_unique<TypeBiasedTiming>(p), 1);
   EXPECT_TRUE(r.check.ok) << r.check.detail;
 }
@@ -61,7 +61,7 @@ TEST(AdversarialTiming, StalledDecideCannotBreakAgreement) {
   // normal phases long before the relay arrives.
   TypeBiasedTiming::Params p;
   p.default_delay = 2;
-  p.delay_by_type = {{kDecideType, 120}};
+  p.delay_by_type = {{MsgType::kDecide, 120}};
   auto r = run_fig8_with_timing(std::make_unique<TypeBiasedTiming>(p), 2);
   EXPECT_TRUE(r.check.ok) << r.check.detail;
 }
@@ -82,7 +82,7 @@ TEST(AdversarialTiming, Fig9UnderStalledPh1Q) {
   cfg.ids = ids_homonymous(n, 2, 3);
   TypeBiasedTiming::Params tp;
   tp.default_delay = 1;
-  tp.delay_by_type = {{kPh1QType, 25}};
+  tp.delay_by_type = {{MsgType::kPh1Q, 25}};
   tp.per_destination_stagger = 3;
   cfg.timing = std::make_unique<TypeBiasedTiming>(tp);
   cfg.crashes = crashes_last_k(n, 3, 20, 9);
@@ -112,7 +112,7 @@ TEST(AdversarialTiming, ModelValidatesParameters) {
   zero.default_delay = 0;
   EXPECT_THROW(TypeBiasedTiming{zero}, std::invalid_argument);
   TypeBiasedTiming::Params bad;
-  bad.delay_by_type = {{"X", 0}};
+  bad.delay_by_type = {{MsgType::kTest0, 0}};
   EXPECT_THROW(TypeBiasedTiming{bad}, std::invalid_argument);
   TypeBiasedTiming::Params stagger_bad;
   stagger_bad.per_destination_stagger = -1;
@@ -122,13 +122,13 @@ TEST(AdversarialTiming, ModelValidatesParameters) {
 TEST(AdversarialTiming, DeliverySemantics) {
   TypeBiasedTiming::Params p;
   p.default_delay = 5;
-  p.delay_by_type = {{"SLOW", 50}};
+  p.delay_by_type = {{MsgType::kTest0, 50}};
   p.per_destination_stagger = 2;
   TypeBiasedTiming t(p);
   Rng rng(1);
-  EXPECT_EQ(t.delivery_at(10, 0, 0, "FAST", rng), 15);
-  EXPECT_EQ(t.delivery_at(10, 0, 3, "FAST", rng), 21);  // + 3*2 stagger
-  EXPECT_EQ(t.delivery_at(10, 0, 1, "SLOW", rng), 62);
+  EXPECT_EQ(t.delivery_at(10, 0, 0, MsgType::kTest1, rng), 15);
+  EXPECT_EQ(t.delivery_at(10, 0, 3, MsgType::kTest1, rng), 21);  // + 3*2 stagger
+  EXPECT_EQ(t.delivery_at(10, 0, 1, MsgType::kTest0, rng), 62);
 }
 
 }  // namespace

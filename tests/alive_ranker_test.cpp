@@ -68,7 +68,7 @@ TEST(AliveRanker, MoveToFrontOnEachAliveMessage) {
   auto list = fd->alive_list();
   ASSERT_EQ(list.size(), 3u);
   // Feed a message directly.
-  fd->on_message(r.sys->env(0), make_message(AliveRanker::kMsgType, AliveMsg{list.back()}));
+  fd->on_message(r.sys->env(0), make_message(MsgType::kAlive, AliveMsg{list.back()}));
   EXPECT_EQ(fd->alive_list().front(), list.back());
   EXPECT_EQ(fd->alive_list().size(), 3u);  // moved, not duplicated
 }
@@ -80,7 +80,7 @@ TEST(AliveRanker, IgnoresForeignMessageTypes) {
   cfg.ids = {1};
   cfg.timing = std::make_unique<AsyncTiming>(1, 1);
   System sys(std::move(cfg));
-  fd.on_message(sys.env(0), make_message("OTHER", 42));
+  fd.on_message(sys.env(0), make_message(MsgType::kTest0, 42));
   EXPECT_TRUE(fd.alive_list().empty());
 }
 

@@ -23,21 +23,23 @@ using chaos::FaultPlan;
 
 struct PingMsg {};
 
-// Broadcasts PING at `send_times` and records each arrival instant.
+// Broadcasts a test message at `send_times` and records each arrival instant.
 class Pinger final : public Process {
  public:
   void on_start(Env& env) override {
     for (SimTime t : send_times) {
       if (t == 0) {
-        env.broadcast(make_message("PING", PingMsg{}));
+        env.broadcast(make_message(MsgType::kTest0, PingMsg{}));
       } else {
         env.set_timer(t);
       }
     }
   }
-  void on_timer(Env& env, TimerId) override { env.broadcast(make_message("PING", PingMsg{})); }
+  void on_timer(Env& env, TimerId) override {
+    env.broadcast(make_message(MsgType::kTest0, PingMsg{}));
+  }
   void on_message(Env& env, const Message& m) override {
-    if (m.type == "PING") arrivals.push_back(env.local_now());
+    if (m.type == MsgType::kTest0) arrivals.push_back(env.local_now());
   }
 
   std::vector<SimTime> send_times;
@@ -297,7 +299,7 @@ TEST(ChaosInjection, NoTriggersReturnsInnerListenerUnchanged) {
 TEST(ChaosInjection, EmptyPlanLeavesCopiesUntouched) {
   FaultPlan plan;
   FaultInjector inj(plan, {1, 2}, 7);
-  const CopyVerdict v = inj.on_copy(10, 0, 1, "PING");
+  const CopyVerdict v = inj.on_copy(10, 0, 1, MsgType::kTest0);
   EXPECT_FALSE(v.drop);
   EXPECT_EQ(v.extra_delay, 0);
   EXPECT_EQ(v.duplicates, 0u);

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <any>
+#include <memory>
+#include <set>
+#include <string>
 
 #include "common/label.h"
 #include "common/rng.h"
@@ -17,6 +20,7 @@
 #include "fd/impl/hsigma_sync.h"
 #include "fd/impl/ohp_polling.h"
 #include "net/wire.h"
+#include "sim/system.h"
 #include "smr/types.h"
 
 namespace hds::net {
@@ -85,7 +89,9 @@ TEST(Wire, OverlongVarintThrows) {
 
 // ------------------------------------------------- random body generation
 
-Message random_body(const std::string& type, Rng& rng) {
+MsgType type_of(const BodyCodec& c) { return MsgType{c.tag}; }
+
+Message random_body(MsgType type, Rng& rng) {
   const auto rid = [&] { return static_cast<Id>(rng.uniform(0, 1 << 20)); };
   const auto rval = [&] { return static_cast<Value>(rng.uniform(-100000, 100000)); };
   const auto rround = [&] { return static_cast<Round>(rng.uniform(0, 5000)); };
@@ -134,35 +140,37 @@ Message random_body(const std::string& type, Rng& rng) {
     return out;
   };
 
-  if (type == AliveRanker::kMsgType) return make_message(type, AliveMsg{rid()});
-  if (type == APSyncProcess::kMsgType) return make_message(type, ApAliveMsg{});
-  if (type == HOmegaHeartbeat::kMsgType) {
+  if (type == MsgType::kAlive) return make_message(type, AliveMsg{rid()});
+  if (type == MsgType::kApAlive) return make_message(type, ApAliveMsg{});
+  if (type == MsgType::kHeartbeat) {
     return make_message(type, HeartbeatMsg{rid(), rng.uniform(0, 1 << 30)});
   }
-  if (type == HSigmaSyncProcess::kMsgType) return make_message(type, IdentMsg{rid()});
-  if (type == OHPPolling::kPollType) return make_message(type, PollingMsg{rround(), rid()});
-  if (type == OHPPolling::kReplyType) {
+  if (type == MsgType::kIdent) return make_message(type, IdentMsg{rid()});
+  if (type == MsgType::kPolling) return make_message(type, PollingMsg{rround(), rid()});
+  if (type == MsgType::kPollReply) {
     return make_message(type, PollReplyMsg{rround(), rround(), rid(), rid()});
   }
-  if (type == kCoordType) return make_message(type, CoordMsg{rid(), rround(), rval(), rinst()});
-  if (type == kPh0Type) return make_message(type, Ph0Msg{rround(), rval(), rinst()});
-  if (type == kPh1Type) return make_message(type, Ph1Msg{rround(), rval(), rinst()});
-  if (type == kPh2Type) return make_message(type, Ph2Msg{rround(), rmaybe(), rinst()});
-  if (type == kDecideType) return make_message(type, DecideMsg{rval(), rinst()});
-  if (type == kPh1QType) {
+  if (type == MsgType::kCoord) {
+    return make_message(type, CoordMsg{rid(), rround(), rval(), rinst()});
+  }
+  if (type == MsgType::kPh0) return make_message(type, Ph0Msg{rround(), rval(), rinst()});
+  if (type == MsgType::kPh1) return make_message(type, Ph1Msg{rround(), rval(), rinst()});
+  if (type == MsgType::kPh2) return make_message(type, Ph2Msg{rround(), rmaybe(), rinst()});
+  if (type == MsgType::kDecide) return make_message(type, DecideMsg{rval(), rinst()});
+  if (type == MsgType::kPh1Q) {
     return make_message(type,
                         Ph1QMsg{rid(), rround(), rng.uniform(0, 50), rlabels(), rval(), rinst()});
   }
-  if (type == kPh2QType) {
+  if (type == MsgType::kPh2Q) {
     return make_message(type,
                         Ph2QMsg{rid(), rround(), rng.uniform(0, 50), rlabels(), rmaybe(), rinst()});
   }
-  if (type == smr::kSmrAppendType) {
+  if (type == MsgType::kSmrAppend) {
     return make_message(type,
                         smr::SmrAppendMsg{rng.uniform(0, 500), rng.uniform(0, 5000), rbatch(),
                                           rcommits()});
   }
-  if (type == smr::kSmrAckType) {
+  if (type == MsgType::kSmrAck) {
     smr::SmrAckMsg m;
     m.epoch = rng.uniform(0, 500);
     m.replica = static_cast<std::uint64_t>(rng.uniform(0, 64));
@@ -174,12 +182,12 @@ Message random_body(const std::string& type, Rng& rng) {
     for (std::size_t i = 0; i < k; ++i) m.pending.push_back(rop());
     return make_message(type, m);
   }
-  if (type == smr::kSmrNewEpochType) {
+  if (type == MsgType::kSmrNewEpoch) {
     return make_message(type,
                         smr::SmrNewEpochMsg{rng.uniform(0, 500), rng.uniform(0, 5000),
                                             static_cast<std::uint64_t>(rng.uniform(0, 64))});
   }
-  if (type == smr::kSmrPromiseType) {
+  if (type == MsgType::kSmrPromise) {
     smr::SmrPromiseMsg m;
     m.epoch = rng.uniform(0, 500);
     m.replica = static_cast<std::uint64_t>(rng.uniform(0, 64));
@@ -191,37 +199,37 @@ Message random_body(const std::string& type, Rng& rng) {
     }
     return make_message(type, m);
   }
-  if (type == smr::kSmrProposeType) {
+  if (type == MsgType::kSmrPropose) {
     return make_message(type,
                         smr::SmrProposeMsg{rng.uniform(0, 500), rng.uniform(0, 5000), rbatch()});
   }
-  throw std::logic_error("no generator for registered type " + type);
+  throw std::logic_error(std::string("no generator for registered type ") + type_name(type));
 }
 
-bool bodies_equal(const std::string& type, const std::any& a, const std::any& b) {
+bool bodies_equal(MsgType type, const std::any& a, const std::any& b) {
   const auto eq = [&](auto tag) {
     using T = decltype(tag);
     return *std::any_cast<T>(&a) == *std::any_cast<T>(&b);
   };
-  if (type == AliveRanker::kMsgType) return eq(AliveMsg{});
-  if (type == APSyncProcess::kMsgType) return eq(ApAliveMsg{});
-  if (type == HOmegaHeartbeat::kMsgType) return eq(HeartbeatMsg{});
-  if (type == HSigmaSyncProcess::kMsgType) return eq(IdentMsg{});
-  if (type == OHPPolling::kPollType) return eq(PollingMsg{});
-  if (type == OHPPolling::kReplyType) return eq(PollReplyMsg{});
-  if (type == kCoordType) return eq(CoordMsg{});
-  if (type == kPh0Type) return eq(Ph0Msg{});
-  if (type == kPh1Type) return eq(Ph1Msg{});
-  if (type == kPh2Type) return eq(Ph2Msg{});
-  if (type == kDecideType) return eq(DecideMsg{});
-  if (type == kPh1QType) return eq(Ph1QMsg{});
-  if (type == kPh2QType) return eq(Ph2QMsg{});
-  if (type == smr::kSmrAppendType) return eq(smr::SmrAppendMsg{});
-  if (type == smr::kSmrAckType) return eq(smr::SmrAckMsg{});
-  if (type == smr::kSmrNewEpochType) return eq(smr::SmrNewEpochMsg{});
-  if (type == smr::kSmrPromiseType) return eq(smr::SmrPromiseMsg{});
-  if (type == smr::kSmrProposeType) return eq(smr::SmrProposeMsg{});
-  throw std::logic_error("no comparator for registered type " + type);
+  if (type == MsgType::kAlive) return eq(AliveMsg{});
+  if (type == MsgType::kApAlive) return eq(ApAliveMsg{});
+  if (type == MsgType::kHeartbeat) return eq(HeartbeatMsg{});
+  if (type == MsgType::kIdent) return eq(IdentMsg{});
+  if (type == MsgType::kPolling) return eq(PollingMsg{});
+  if (type == MsgType::kPollReply) return eq(PollReplyMsg{});
+  if (type == MsgType::kCoord) return eq(CoordMsg{});
+  if (type == MsgType::kPh0) return eq(Ph0Msg{});
+  if (type == MsgType::kPh1) return eq(Ph1Msg{});
+  if (type == MsgType::kPh2) return eq(Ph2Msg{});
+  if (type == MsgType::kDecide) return eq(DecideMsg{});
+  if (type == MsgType::kPh1Q) return eq(Ph1QMsg{});
+  if (type == MsgType::kPh2Q) return eq(Ph2QMsg{});
+  if (type == MsgType::kSmrAppend) return eq(smr::SmrAppendMsg{});
+  if (type == MsgType::kSmrAck) return eq(smr::SmrAckMsg{});
+  if (type == MsgType::kSmrNewEpoch) return eq(smr::SmrNewEpochMsg{});
+  if (type == MsgType::kSmrPromise) return eq(smr::SmrPromiseMsg{});
+  if (type == MsgType::kSmrPropose) return eq(smr::SmrProposeMsg{});
+  throw std::logic_error(std::string("no comparator for registered type ") + type_name(type));
 }
 
 // ------------------------------------------------------ frame round-trips
@@ -231,7 +239,7 @@ TEST(Codec, EveryRegisteredTypeHasGeneratorCoverage) {
   // loudly here rather than silently fuzzing a subset.
   for (const BodyCodec* c : builtin_codecs().all()) {
     Rng rng(1);
-    EXPECT_NO_THROW({ (void)random_body(c->type, rng); }) << c->type;
+    EXPECT_NO_THROW({ (void)random_body(type_of(*c), rng); }) << type_name(type_of(*c));
   }
 }
 
@@ -239,7 +247,7 @@ TEST(Codec, SeededFuzzRoundTripsEveryBodyType) {
   Rng rng(20260805);
   for (const BodyCodec* c : builtin_codecs().all()) {
     for (int iter = 0; iter < 200; ++iter) {
-      const Message m = random_body(c->type, rng);
+      const Message m = random_body(type_of(*c), rng);
       const ProcIndex sender = static_cast<ProcIndex>(rng.index(64));
       const Id sender_id = static_cast<Id>(rng.uniform(0, 1 << 16));
       const auto frame = encode_frame(builtin_codecs(), m, sender, sender_id);
@@ -247,7 +255,8 @@ TEST(Codec, SeededFuzzRoundTripsEveryBodyType) {
       const Message back = decode_frame(builtin_codecs(), frame.data(), frame.size());
       EXPECT_EQ(back.type, m.type);
       EXPECT_EQ(back.meta_sender, sender);
-      EXPECT_TRUE(bodies_equal(c->type, m.body, back.body)) << c->type << " iter " << iter;
+      EXPECT_TRUE(bodies_equal(type_of(*c), m.body, back.body))
+          << type_name(type_of(*c)) << " iter " << iter;
     }
   }
 }
@@ -261,15 +270,104 @@ TEST(Codec, ControlFramesRoundTripAndNeverCollideWithBodies) {
 }
 
 TEST(Codec, UnregisteredMessageTypeIsReportedNotEncoded) {
-  const Message m = make_message("NOT_A_REAL_TYPE", AliveMsg{1});
+  const Message m = make_message(MsgType::kTest0, AliveMsg{1});
   EXPECT_THROW(encode_frame(builtin_codecs(), m, 0, 1), CodecError);
   EXPECT_EQ(encoded_frame_size(builtin_codecs(), m, 0, 1), std::nullopt);
+}
+
+// ------------------------------------------------------------ tag table
+
+TEST(MsgTypeTable, EveryKindHasAUniqueNonEmptyName) {
+  std::set<std::string> names;
+  std::set<std::uint8_t> tags;
+  for (const MsgTypeName& e : kMsgTypeNames) {
+    EXPECT_NE(e.type, MsgType::kNone);
+    EXPECT_NE(std::string(e.name), "") << int{tag_of(e.type)};
+    EXPECT_EQ(std::string(type_name(e.type)), e.name);
+    EXPECT_TRUE(names.insert(e.name).second) << "duplicate name " << e.name;
+    EXPECT_TRUE(tags.insert(tag_of(e.type)).second) << "duplicate tag " << int{tag_of(e.type)};
+    EXPECT_LT(tag_of(e.type), kCtrlTagFirst) << e.name;
+  }
+  EXPECT_EQ(std::string(type_name(MsgType::kNone)), "");
+  EXPECT_EQ(std::string(type_name(MsgType{kTagRelAck})), "");
+}
+
+TEST(MsgTypeTable, EveryKindBelowTheLocalRangeHasACodecAndNoneAbove) {
+  for (const MsgTypeName& e : kMsgTypeNames) {
+    const bool wire = tag_of(e.type) < kFirstLocalTag;
+    EXPECT_EQ(builtin_codecs().by_tag(tag_of(e.type)) != nullptr, wire) << e.name;
+  }
+  for (const BodyCodec* c : builtin_codecs().all()) {
+    EXPECT_LT(c->tag, kFirstLocalTag);
+    EXPECT_NE(std::string(type_name(type_of(*c))), "") << "codec tag " << int{c->tag};
+  }
+}
+
+TEST(MsgTypeTable, RegistryRefusesLocalAndControlRangeTags) {
+  CodecRegistry reg;
+  BodyCodec local;
+  local.tag = tag_of(MsgType::kFloodEst);
+  EXPECT_THROW(reg.add(local), std::logic_error);
+  BodyCodec ctrl;
+  ctrl.tag = kTagHello;
+  EXPECT_THROW(reg.add(ctrl), std::logic_error);
+  BodyCodec ok;
+  ok.tag = tag_of(MsgType::kAlive);
+  reg.add(ok);
+  EXPECT_THROW(reg.add(ok), std::logic_error);  // duplicate
+  EXPECT_EQ(reg.by_tag(tag_of(MsgType::kAlive))->tag, tag_of(MsgType::kAlive));
+  EXPECT_EQ(reg.by_tag(tag_of(MsgType::kCoord)), nullptr);
+}
+
+// Broadcasts one message of kind `t` (with an ALIVE body) at start.
+class BroadcastOnce final : public Process {
+ public:
+  explicit BroadcastOnce(MsgType t) : t_(t) {}
+  void on_start(Env& env) override { env.broadcast(make_message(t_, AliveMsg{1})); }
+  void on_message(Env&, const Message&) override {}
+  void on_timer(Env&, TimerId) override {}
+
+ private:
+  MsgType t_;
+};
+
+// Bytes the simulator's meter charges for one broadcast of kind `t` by a
+// lone process (one copy: itself).
+std::uint64_t sim_metered_bytes(MsgType t) {
+  SystemConfig cfg;
+  cfg.ids = {1};
+  cfg.timing = std::make_unique<AsyncTiming>(1, 1);
+  System sys(std::move(cfg));
+  sys.set_process(0, std::make_unique<BroadcastOnce>(t));
+  sys.start();
+  sys.run_until(5);
+  const NetworkStats st = sys.net_stats();
+  EXPECT_EQ(st.broadcasts_by_type.at(type_name(t)), 1u);
+  return st.bytes_sent;
+}
+
+TEST(MsgTypeTable, CodecLessKindsThrowOnEncodeAndMeterZeroBytesInTheSim) {
+  for (const MsgTypeName& e : kMsgTypeNames) {
+    if (tag_of(e.type) < kFirstLocalTag) continue;
+    const Message m = make_message(e.type, AliveMsg{1});
+    EXPECT_THROW(encode_frame(builtin_codecs(), m, 0, 1), CodecError) << e.name;
+    EXPECT_EQ(encoded_frame_size(builtin_codecs(), m, 0, 1), std::nullopt) << e.name;
+  }
+  // The simulator's byte meter charges a local-range kind 0 bytes and an
+  // ALIVE with the same body its v1 frame size.
+  for (const MsgTypeName& e : kMsgTypeNames) {
+    if (tag_of(e.type) >= kFirstLocalTag) {
+      EXPECT_EQ(sim_metered_bytes(e.type), 0u) << e.name;
+    }
+  }
+  const Message alive = make_message(MsgType::kAlive, AliveMsg{1});
+  EXPECT_EQ(sim_metered_bytes(MsgType::kAlive), *encoded_frame_size(builtin_codecs(), alive, 0, 1));
 }
 
 // --------------------------------------------------- malformed rejection
 
 std::vector<std::uint8_t> sample_frame() {
-  const Message m = make_message(OHPPolling::kPollType, PollingMsg{7, 42});
+  const Message m = make_message(MsgType::kPolling, PollingMsg{7, 42});
   return encode_frame(builtin_codecs(), m, 2, 42);
 }
 
@@ -326,7 +424,7 @@ TEST(Codec, WrongVersionAndTrailingBytesAreRejected) {
 // ------------------------------------------- trace-context extension
 
 TEST(Codec, TracedFrameRoundTripsCausalContextAndUntracedStaysBare) {
-  Message m = make_message(OHPPolling::kPollType, PollingMsg{7, 42});
+  Message m = make_message(MsgType::kPolling, PollingMsg{7, 42});
   // Node index folded into the high 16 bits; values chosen to need
   // multi-byte varints.
   m.meta_causal_id = (std::uint64_t{3} << 48) | 170739;
@@ -339,11 +437,11 @@ TEST(Codec, TracedFrameRoundTripsCausalContextAndUntracedStaysBare) {
   EXPECT_EQ(back.meta_causal_parent, m.meta_causal_parent);
   EXPECT_EQ(back.meta_causal_clock, m.meta_causal_clock);
   EXPECT_EQ(back.meta_sender, 2u);
-  EXPECT_TRUE(bodies_equal(OHPPolling::kPollType, m.body, back.body));
+  EXPECT_TRUE(bodies_equal(MsgType::kPolling, m.body, back.body));
 
   // The same message without a lineage id encodes the bare v1 frame: no
   // flag, no extension bytes, zeroed meta on decode.
-  const Message plain = make_message(OHPPolling::kPollType, PollingMsg{7, 42});
+  const Message plain = make_message(MsgType::kPolling, PollingMsg{7, 42});
   const auto bare = encode_frame(builtin_codecs(), plain, 2, 42);
   EXPECT_EQ(bare[2], kWireVersion);
   EXPECT_LT(bare.size(), traced.size());
@@ -362,7 +460,7 @@ TEST(Codec, SeededFuzzRoundTripsTracedFramesOfEveryBodyType) {
   Rng rng(20260809);
   for (const BodyCodec* c : builtin_codecs().all()) {
     for (int iter = 0; iter < 50; ++iter) {
-      Message m = random_body(c->type, rng);
+      Message m = random_body(type_of(*c), rng);
       m.meta_causal_id = (static_cast<std::uint64_t>(rng.index(64)) << 48) |
                          (1 + static_cast<std::uint64_t>(rng.uniform(0, 1 << 20)));
       if (rng.chance(0.7)) {
@@ -372,16 +470,18 @@ TEST(Codec, SeededFuzzRoundTripsTracedFramesOfEveryBodyType) {
       m.meta_causal_clock = static_cast<std::uint64_t>(rng.uniform(0, 1 << 30));
       const auto frame = encode_frame(builtin_codecs(), m, 1, 9);
       const Message back = decode_frame(builtin_codecs(), frame.data(), frame.size());
-      EXPECT_EQ(back.meta_causal_id, m.meta_causal_id) << c->type << " iter " << iter;
+      EXPECT_EQ(back.meta_causal_id, m.meta_causal_id)
+          << type_name(type_of(*c)) << " iter " << iter;
       EXPECT_EQ(back.meta_causal_parent, m.meta_causal_parent);
       EXPECT_EQ(back.meta_causal_clock, m.meta_causal_clock);
-      EXPECT_TRUE(bodies_equal(c->type, m.body, back.body)) << c->type << " iter " << iter;
+      EXPECT_TRUE(bodies_equal(type_of(*c), m.body, back.body))
+          << type_name(type_of(*c)) << " iter " << iter;
     }
   }
 }
 
 std::vector<std::uint8_t> sample_traced_frame() {
-  Message m = make_message(OHPPolling::kPollType, PollingMsg{7, 42});
+  Message m = make_message(MsgType::kPolling, PollingMsg{7, 42});
   m.meta_causal_id = (std::uint64_t{2} << 48) | 9;
   m.meta_causal_parent = (std::uint64_t{2} << 48) | 4;
   m.meta_causal_clock = 77;
@@ -413,7 +513,7 @@ TEST(Batch, RoundTripsMultipleFrames) {
   Rng rng(7);
   std::vector<std::vector<std::uint8_t>> frames;
   for (const BodyCodec* c : builtin_codecs().all()) {
-    const Message m = random_body(c->type, rng);
+    const Message m = random_body(type_of(*c), rng);
     frames.push_back(encode_frame(builtin_codecs(), m, 0, 9));
     w.add(frames.back());
   }

@@ -120,19 +120,19 @@ TEST(QueueEquivalence, CalendarMatchesHeapOrder) {
 // ------------------------------------------------------------ golden trace
 
 // Mixed traffic: a codec-registered type (ALIVE, so the byte meter meters
-// real frame sizes) plus an unregistered one (PONG, memoized to 0 bytes).
+// real frame sizes) plus a codec-less one (a test kind, metered at 0 bytes).
 struct Pinger final : Process {
   void on_start(Env& env) override {
-    env.broadcast(make_message(AliveRanker::kMsgType, AliveMsg{env.self_id()}));
+    env.broadcast(make_message(MsgType::kAlive, AliveMsg{env.self_id()}));
     env.set_timer(3);
   }
   void on_timer(Env& env, TimerId) override {
-    env.broadcast(make_message(AliveRanker::kMsgType, AliveMsg{env.self_id()}));
+    env.broadcast(make_message(MsgType::kAlive, AliveMsg{env.self_id()}));
     env.set_timer(3);
   }
   void on_message(Env& env, const Message& m) override {
-    if (m.type == AliveRanker::kMsgType && env.local_now() % 2 == 0) {
-      env.broadcast(make_message("PONG", 0));
+    if (m.type == MsgType::kAlive && env.local_now() % 2 == 0) {
+      env.broadcast(make_message(MsgType::kTest0, 0));
     }
   }
 };
@@ -236,7 +236,7 @@ TEST(GoldenTrace, MemoizedByteMeterMatchesFullCodecComputation) {
   // encoded_frame_size computes them.
   struct OneShot final : Process {
     void on_start(Env& env) override {
-      env.broadcast(make_message(AliveRanker::kMsgType, AliveMsg{env.self_id()}));
+      env.broadcast(make_message(MsgType::kAlive, AliveMsg{env.self_id()}));
     }
     void on_message(Env&, const Message&) override {}
   };
@@ -254,7 +254,7 @@ TEST(GoldenTrace, MemoizedByteMeterMatchesFullCodecComputation) {
   sys.set_process(2, std::make_unique<Quiet>());
   sys.start();
   sys.run_until(10);
-  const Message m = make_message(AliveRanker::kMsgType, AliveMsg{41});
+  const Message m = make_message(MsgType::kAlive, AliveMsg{41});
   const auto frame = net::encoded_frame_size(net::builtin_codecs(), m, 0, 41);
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(sys.net_stats().bytes_sent, 3 * *frame);
@@ -485,11 +485,11 @@ TEST(ShardedEngine, Fig6QosJsonIsByteIdenticalAcrossShardCounts) {
 // sizes near n~48 before sharding.
 struct Heartbeat final : Process {
   void on_start(Env& env) override {
-    env.broadcast(make_message("MESH", 0));
+    env.broadcast(make_message(MsgType::kTest0, 0));
     env.set_timer(64);
   }
   void on_timer(Env& env, TimerId) override {
-    env.broadcast(make_message("MESH", 0));
+    env.broadcast(make_message(MsgType::kTest0, 0));
     env.set_timer(64);
   }
   void on_message(Env&, const Message&) override { ++received_; }

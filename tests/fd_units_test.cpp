@@ -22,10 +22,10 @@ struct OhpFixture : ::testing::Test {
   OhpFixture() : env(3) {}
   void start(OHPPolling& fd) { fd.on_start(env); }
   void poll(OHPPolling& fd, Round r, Id id) {
-    fd.on_message(env, make_message(OHPPolling::kPollType, PollingMsg{r, id}));
+    fd.on_message(env, make_message(MsgType::kPolling, PollingMsg{r, id}));
   }
   void reply(OHPPolling& fd, Round lo, Round hi, Id to, Id from) {
-    fd.on_message(env, make_message(OHPPolling::kReplyType, PollReplyMsg{lo, hi, to, from}));
+    fd.on_message(env, make_message(MsgType::kPollReply, PollReplyMsg{lo, hi, to, from}));
   }
   void tick(OHPPolling& fd) { fd.on_timer(env, env.timers.back().id); }
   ScriptEnv env;
@@ -34,7 +34,7 @@ struct OhpFixture : ::testing::Test {
 TEST_F(OhpFixture, StartBroadcastsRoundOnePoll) {
   OHPPolling fd;
   start(fd);
-  const auto* p = env.last_body<PollingMsg>(OHPPolling::kPollType);
+  const auto* p = env.last_body<PollingMsg>(MsgType::kPolling);
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->r, 1);
   EXPECT_EQ(p->id, 3u);
@@ -92,17 +92,17 @@ TEST_F(OhpFixture, AnswersPollsWithUnservedRangeOnly) {
   OHPPolling fd;
   start(fd);
   poll(fd, 3, 9);
-  const auto* r1 = env.last_body<PollReplyMsg>(OHPPolling::kReplyType);
+  const auto* r1 = env.last_body<PollReplyMsg>(MsgType::kPollReply);
   ASSERT_NE(r1, nullptr);
   EXPECT_EQ(r1->lo, 1);
   EXPECT_EQ(r1->hi, 3);
   EXPECT_EQ(r1->to_id, 9u);
   EXPECT_EQ(r1->from_id, 3u);
-  const auto before = env.count(OHPPolling::kReplyType);
+  const auto before = env.count(MsgType::kPollReply);
   poll(fd, 2, 9);  // already served up to 3: no new reply
-  EXPECT_EQ(env.count(OHPPolling::kReplyType), before);
+  EXPECT_EQ(env.count(MsgType::kPollReply), before);
   poll(fd, 5, 9);  // serves exactly 4..5
-  const auto* r2 = env.last_body<PollReplyMsg>(OHPPolling::kReplyType);
+  const auto* r2 = env.last_body<PollReplyMsg>(MsgType::kPollReply);
   EXPECT_EQ(r2->lo, 4);
   EXPECT_EQ(r2->hi, 5);
 }
@@ -118,12 +118,12 @@ TEST(SigmaToHSigmaBcastUnits, LabelsFollowLearnedMembership) {
   ScriptEnv env(2);
   SigmaToHSigmaBcast red(sigma);
   red.on_start(env);
-  EXPECT_EQ(env.count(SigmaToHSigmaBcast::kMsgType), 1u);
+  EXPECT_EQ(env.count(MsgType::kSigIdent), 1u);
   // Before hearing itself: no labels.
   EXPECT_TRUE(red.snapshot().labels.empty());
-  red.on_message(env, make_message(SigmaToHSigmaBcast::kMsgType, SigIdentMsg{2}));
+  red.on_message(env, make_message(MsgType::kSigIdent, SigIdentMsg{2}));
   EXPECT_EQ(red.snapshot().labels, (std::set<Label>{Label::of_set({2})}));
-  red.on_message(env, make_message(SigmaToHSigmaBcast::kMsgType, SigIdentMsg{5}));
+  red.on_message(env, make_message(MsgType::kSigIdent, SigIdentMsg{5}));
   EXPECT_EQ(red.snapshot().labels.size(), 2u);  // {2}, {2,5}
   // Quora accumulated from Σ: label = support set, multiset = the output.
   EXPECT_TRUE(red.snapshot().quora.contains(Label::of_set({1, 2})));
@@ -146,9 +146,9 @@ TEST(HSigmaToSigmaUnits, PicksCandidateWithBestWorstRank) {
   red.on_start(env);  // broadcasts LABELS, no candidates known yet
   EXPECT_TRUE(red.trusted().empty());
   // Learn carriers: ids 1,2 carry a; id 3 carries b.
-  red.on_message(env, make_message(HSigmaToSigma::kMsgType, LabelsMsg{1, {la}}));
-  red.on_message(env, make_message(HSigmaToSigma::kMsgType, LabelsMsg{2, {la}}));
-  red.on_message(env, make_message(HSigmaToSigma::kMsgType, LabelsMsg{3, {lb}}));
+  red.on_message(env, make_message(MsgType::kLabels, LabelsMsg{1, {la}}));
+  red.on_message(env, make_message(MsgType::kLabels, LabelsMsg{2, {la}}));
+  red.on_message(env, make_message(MsgType::kLabels, LabelsMsg{3, {lb}}));
   red.on_timer(env, env.timers.back().id);
   // Candidate {3} has worst rank 1; candidate {1,2} has worst rank 3.
   EXPECT_EQ(red.trusted(), (Multiset<Id>{3}));
@@ -166,7 +166,7 @@ TEST(HSigmaToSigmaUnits, UnexplainedQuorumIsNotACandidate) {
   ScriptEnv env(1);
   HSigmaToSigma red(hsigma, ranker);
   red.on_start(env);
-  red.on_message(env, make_message(HSigmaToSigma::kMsgType, LabelsMsg{1, {la}}));
+  red.on_message(env, make_message(MsgType::kLabels, LabelsMsg{1, {la}}));
   // Only id 1 known to carry `a`: the pair (a, {1,2}) is not explained.
   red.on_timer(env, env.timers.back().id);
   EXPECT_TRUE(red.trusted().empty());
@@ -184,7 +184,7 @@ TEST(HSigmaToSigmaUnits, MultiplicityAboveOneNeverExplainedUnderUniqueIds) {
   ScriptEnv env(1);
   HSigmaToSigma red(hsigma, ranker);
   red.on_start(env);
-  red.on_message(env, make_message(HSigmaToSigma::kMsgType, LabelsMsg{1, {la}}));
+  red.on_message(env, make_message(MsgType::kLabels, LabelsMsg{1, {la}}));
   red.on_timer(env, env.timers.back().id);
   EXPECT_TRUE(red.trusted().empty());  // Theorem 2 assumes unique identifiers
 }
@@ -197,9 +197,9 @@ TEST(HeartbeatUnits, CountsHomonymCopiesAtSettledSeq) {
   fd.on_start(env);
   // Two homonyms named 2 at sequences 1..3; our own heartbeats too.
   for (std::int64_t s = 1; s <= 3; ++s) {
-    fd.on_message(env, make_message(HOmegaHeartbeat::kMsgType, HeartbeatMsg{2, s}));
-    fd.on_message(env, make_message(HOmegaHeartbeat::kMsgType, HeartbeatMsg{2, s}));
-    fd.on_message(env, make_message(HOmegaHeartbeat::kMsgType, HeartbeatMsg{5, s}));
+    fd.on_message(env, make_message(MsgType::kHeartbeat, HeartbeatMsg{2, s}));
+    fd.on_message(env, make_message(MsgType::kHeartbeat, HeartbeatMsg{2, s}));
+    fd.on_message(env, make_message(MsgType::kHeartbeat, HeartbeatMsg{5, s}));
   }
   env.now = 12;
   fd.on_timer(env, env.timers.back().id);
@@ -211,11 +211,11 @@ TEST(HeartbeatUnits, LateHeartbeatGrowsLag) {
   HOmegaHeartbeat fd(4);
   fd.on_start(env);
   for (std::int64_t s = 1; s <= 5; ++s) {
-    fd.on_message(env, make_message(HOmegaHeartbeat::kMsgType, HeartbeatMsg{2, s}));
+    fd.on_message(env, make_message(MsgType::kHeartbeat, HeartbeatMsg{2, s}));
   }
   EXPECT_EQ(fd.lag(), 1);
   // Sequence 3 arrives again long after 5 was seen: beyond the settled point.
-  fd.on_message(env, make_message(HOmegaHeartbeat::kMsgType, HeartbeatMsg{2, 3}));
+  fd.on_message(env, make_message(MsgType::kHeartbeat, HeartbeatMsg{2, 3}));
   EXPECT_EQ(fd.lag(), 2);
 }
 
@@ -224,14 +224,14 @@ TEST(HeartbeatUnits, StaleIdentifierLosesLeadership) {
   HOmegaHeartbeat fd(4);
   fd.on_start(env);
   env.now = 4;
-  fd.on_message(env, make_message(HOmegaHeartbeat::kMsgType, HeartbeatMsg{2, 1}));
-  fd.on_message(env, make_message(HOmegaHeartbeat::kMsgType, HeartbeatMsg{9, 1}));
+  fd.on_message(env, make_message(MsgType::kHeartbeat, HeartbeatMsg{2, 1}));
+  fd.on_message(env, make_message(MsgType::kHeartbeat, HeartbeatMsg{9, 1}));
   fd.on_timer(env, env.timers.back().id);
   EXPECT_EQ(fd.h_omega().leader, 2u);
   // Id 2 goes silent; id 9 keeps beating.
   for (std::int64_t s = 2; s <= 8; ++s) {
     env.now = 4 * s;
-    fd.on_message(env, make_message(HOmegaHeartbeat::kMsgType, HeartbeatMsg{9, s}));
+    fd.on_message(env, make_message(MsgType::kHeartbeat, HeartbeatMsg{9, s}));
     fd.on_timer(env, env.timers.back().id);
   }
   EXPECT_EQ(fd.h_omega().leader, 9u);

@@ -56,8 +56,9 @@ TEST(Harness, ConsensusResultAccountingIsConsistent) {
   }
   EXPECT_EQ(sum, r.broadcasts);
   // Fig. 8's phases all appear in the type map.
-  for (const char* type : {kCoordType, kPh0Type, kPh1Type, kPh2Type, kDecideType}) {
-    EXPECT_TRUE(r.broadcasts_by_type.contains(type)) << type;
+  for (const MsgType type :
+       {MsgType::kCoord, MsgType::kPh0, MsgType::kPh1, MsgType::kPh2, MsgType::kDecide}) {
+    EXPECT_TRUE(r.broadcasts_by_type.contains(type_name(type))) << type_name(type);
   }
 }
 

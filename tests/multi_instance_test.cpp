@@ -153,9 +153,9 @@ TEST(MultiInstance, ForeignInstanceDecideIsIgnored) {
   scfg.timing = std::make_unique<AsyncTiming>(1, 1);
   System sys(std::move(scfg));
   c.on_start(sys.env(0));
-  c.on_message(sys.env(0), make_message(kDecideType, DecideMsg{42, /*instance=*/1}));
+  c.on_message(sys.env(0), make_message(MsgType::kDecide, DecideMsg{42, /*instance=*/1}));
   EXPECT_FALSE(c.decision().decided);
-  c.on_message(sys.env(0), make_message(kDecideType, DecideMsg{42, /*instance=*/2}));
+  c.on_message(sys.env(0), make_message(MsgType::kDecide, DecideMsg{42, /*instance=*/2}));
   EXPECT_TRUE(c.decision().decided);
 }
 

@@ -43,7 +43,7 @@ TEST(NetSystem, DeliversBroadcastsAcrossRealSockets) {
     EXPECT_TRUE(await_pings(*c.sys[i], *procs[i], kN)) << "node " << i;
   }
   // The ALIVE frame really crossed the wire: size metadata matches the codec.
-  const Message sample = make_message(AliveRanker::kMsgType, AliveMsg{1});
+  const Message sample = make_message(MsgType::kAlive, AliveMsg{1});
   const auto expect_bytes = encoded_frame_size(builtin_codecs(), sample, 0, 1);
   ASSERT_TRUE(expect_bytes.has_value());
   EXPECT_EQ(c.sys[0]->query([&](Process&) { return procs[0]->last_wire_bytes; }), *expect_bytes);
@@ -104,7 +104,7 @@ TEST(NetSystem, NetStatsCountBroadcastsAndDeliveries) {
   EXPECT_EQ(total.copies_delivered, kN * kN);
   EXPECT_EQ(total.copies_lost_link, 0u);
   EXPECT_EQ(total.copies_duplicated, 0u);
-  EXPECT_EQ(total.broadcasts_by_type[AliveRanker::kMsgType], kN);
+  EXPECT_EQ(total.broadcasts_by_type[type_name(MsgType::kAlive)], kN);
   EXPECT_EQ(total.broadcasts_by_type.size(), 1u);
 }
 
@@ -118,7 +118,7 @@ TEST(NetSystem, ByteCountersTrackEstimatedFrameSizes) {
   c.start_all();
   for (std::size_t i = 0; i < kN; ++i) ASSERT_TRUE(await_pings(*c.sys[i], *procs[i], kN));
   const auto frame = encoded_frame_size(builtin_codecs(),
-                                        make_message(AliveRanker::kMsgType, AliveMsg{1}), 0, 1);
+                                        make_message(MsgType::kAlive, AliveMsg{1}), 0, 1);
   ASSERT_TRUE(frame.has_value());
   for (std::size_t i = 0; i < kN; ++i) {
     EXPECT_EQ(c.sys[i]->query([&](Process&) { return procs[i]->wire_bytes; }), kN * *frame)
@@ -273,9 +273,9 @@ TEST(NetSystem, Fig9QuorumConsensusWithOracles) {
 // the others, and node 0's stats must attribute the loss to the link.
 class DropInterposer : public LinkInterposer {
  public:
-  CopyVerdict on_copy(SimTime, ProcIndex from, ProcIndex to, const std::string& type) override {
+  CopyVerdict on_copy(SimTime, ProcIndex from, ProcIndex to, MsgType type) override {
     CopyVerdict v;
-    if (from == 0 && to == 1 && type == AliveRanker::kMsgType) {
+    if (from == 0 && to == 1 && type == MsgType::kAlive) {
       v.drop = true;
       ++dropped;
     }
@@ -314,9 +314,9 @@ TEST(NetSystem, RejectsInterposerInstallAfterStart) {
 // retransmission passes and delivery must be exactly-once anyway.
 class DropFirstAttempt : public LinkInterposer {
  public:
-  CopyVerdict on_copy(SimTime, ProcIndex from, ProcIndex to, const std::string& type) override {
+  CopyVerdict on_copy(SimTime, ProcIndex from, ProcIndex to, MsgType type) override {
     CopyVerdict v;
-    if (type != AliveRanker::kMsgType) return v;
+    if (type != MsgType::kAlive) return v;
     std::lock_guard lk(mu_);
     v.drop = seen_.insert({from, to}).second;  // newly seen link -> drop
     if (v.drop) ++dropped_;

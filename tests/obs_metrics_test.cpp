@@ -203,7 +203,7 @@ TEST(NullSafeHelpers, NoOpOnNullptr) {
 // substrate series; the same run without one works identically.
 struct Chatter final : Process {
   void on_start(Env& env) override {
-    env.broadcast(make_message("CHAT", 0));
+    env.broadcast(make_message(MsgType::kTest0, 0));
     env.set_timer(5);
   }
   void on_timer(Env&, TimerId) override {}
@@ -224,8 +224,8 @@ TEST(MetricsRegistry, SimSystemPopulatesNetworkSeries) {
   const auto stats = sys.net_stats();
   EXPECT_EQ(reg.counter_total("net_broadcasts_total"), stats.broadcasts);
   EXPECT_EQ(reg.counter_total("net_copies_delivered_total"), stats.copies_delivered);
-  ASSERT_NE(reg.find_counter("net_broadcasts_total", {{"type", "CHAT"}}), nullptr);
-  EXPECT_EQ(reg.find_counter("net_broadcasts_total", {{"type", "CHAT"}})->value(), 3u);
+  ASSERT_NE(reg.find_counter("net_broadcasts_total", {{"type", "TEST0"}}), nullptr);
+  EXPECT_EQ(reg.find_counter("net_broadcasts_total", {{"type", "TEST0"}})->value(), 3u);
   ASSERT_NE(reg.find_counter("sim_timer_fires_total"), nullptr);
   EXPECT_GT(reg.find_counter("sim_timer_fires_total")->value(), 0u);
   const obs::Histogram* lat = reg.find_histogram("net_delivery_latency");

@@ -91,11 +91,11 @@ TEST(OHPPolling, RepliesOnlyOncePerPollerRound) {
   sys.run_until(0);  // deliver on_start only
   auto& fd = static_cast<OHPPolling&>(sys.process(0));
   const auto before = sys.net_stats().broadcasts_by_type;
-  fd.on_message(sys.env(0), make_message(OHPPolling::kPollType, PollingMsg{3, Id{7}}));
-  fd.on_message(sys.env(0), make_message(OHPPolling::kPollType, PollingMsg{3, Id{7}}));
+  fd.on_message(sys.env(0), make_message(MsgType::kPolling, PollingMsg{3, Id{7}}));
+  fd.on_message(sys.env(0), make_message(MsgType::kPolling, PollingMsg{3, Id{7}}));
   auto after = sys.net_stats().broadcasts_by_type;
   auto replies = [&](const std::map<std::string, std::uint64_t>& m) {
-    auto it = m.find(OHPPolling::kReplyType);
+    auto it = m.find(type_name(MsgType::kPollReply));
     return it == m.end() ? 0ULL : it->second;
   };
   EXPECT_EQ(replies(after) - replies(before), 1u);
@@ -112,14 +112,14 @@ TEST(OHPPolling, ReplyRangesCoverMissedRounds) {
   sys.start();
   sys.run_until(0);
   auto& fd = static_cast<OHPPolling&>(sys.process(0));
-  fd.on_message(sys.env(0), make_message(OHPPolling::kPollType, PollingMsg{2, Id{7}}));
-  fd.on_message(sys.env(0), make_message(OHPPolling::kPollType, PollingMsg{9, Id{7}}));
+  fd.on_message(sys.env(0), make_message(MsgType::kPolling, PollingMsg{2, Id{7}}));
+  fd.on_message(sys.env(0), make_message(MsgType::kPolling, PollingMsg{9, Id{7}}));
   sys.run_until(10);  // let the replies deliver (self link)
   // Now verify by acting as the poller with id 7: simulate that the replies
   // would cover rounds 3..9 — we check via the network stats that exactly 2
   // replies were sent (one for round <=2, one for 3..9).
   const NetworkStats stats = sys.net_stats();
-  auto it = stats.broadcasts_by_type.find(OHPPolling::kReplyType);
+  auto it = stats.broadcasts_by_type.find(type_name(MsgType::kPollReply));
   ASSERT_NE(it, stats.broadcasts_by_type.end());
   // Our own polling loop also broadcasts replies to id 1; count only >= 2.
   EXPECT_GE(it->second, 2u);

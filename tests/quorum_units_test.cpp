@@ -33,17 +33,17 @@ struct Fig9Fixture : ::testing::Test {
   // Brings a fresh machine to Phase 1 of round 1 with est1 = `est`.
   void to_phase1(QuorumConsensus& c, Value est) {
     c.on_start(env);
-    c.on_message(env, make_message(kPh0Type, Ph0Msg{1, est}));
-    ASSERT_EQ(env.count(kPh1QType), 1u);
+    c.on_message(env, make_message(MsgType::kPh0, Ph0Msg{1, est}));
+    ASSERT_EQ(env.count(MsgType::kPh1Q), 1u);
   }
 
   void deliver_ph1q(QuorumConsensus& c, Id id, Round r, std::int64_t sr, std::set<Label> labels,
                     Value est) {
-    c.on_message(env, make_message(kPh1QType, Ph1QMsg{id, r, sr, std::move(labels), est}));
+    c.on_message(env, make_message(MsgType::kPh1Q, Ph1QMsg{id, r, sr, std::move(labels), est}));
   }
   void deliver_ph2q(QuorumConsensus& c, Id id, Round r, std::int64_t sr, std::set<Label> labels,
                     MaybeValue est2) {
-    c.on_message(env, make_message(kPh2QType, Ph2QMsg{id, r, sr, std::move(labels), est2}));
+    c.on_message(env, make_message(MsgType::kPh2Q, Ph2QMsg{id, r, sr, std::move(labels), est2}));
   }
 
   QuorumConsensusConfig cfg;
@@ -55,7 +55,7 @@ struct Fig9Fixture : ::testing::Test {
 TEST_F(Fig9Fixture, Ph1QCarriesCurrentLabels) {
   auto c = make();
   to_phase1(c, 42);
-  const auto* ph1 = env.last_body<Ph1QMsg>(kPh1QType);
+  const auto* ph1 = env.last_body<Ph1QMsg>(MsgType::kPh1Q);
   ASSERT_NE(ph1, nullptr);
   EXPECT_EQ(ph1->id, kSelf);
   EXPECT_EQ(ph1->r, 1);
@@ -68,9 +68,9 @@ TEST_F(Fig9Fixture, QuorumNeedsExactSenderMultiset) {
   auto c = make();
   to_phase1(c, 42);
   deliver_ph1q(c, 1, 1, 1, {kLx}, 42);
-  EXPECT_EQ(env.count(kPh2QType), 0u);  // {1} != {1,2}
+  EXPECT_EQ(env.count(MsgType::kPh2Q), 0u);  // {1} != {1,2}
   deliver_ph1q(c, 2, 1, 1, {kLx}, 42);
-  const auto* ph2 = env.last_body<Ph2QMsg>(kPh2QType);
+  const auto* ph2 = env.last_body<Ph2QMsg>(MsgType::kPh2Q);
   ASSERT_NE(ph2, nullptr);
   EXPECT_EQ(ph2->est2, MaybeValue{42});  // unanimous quorum
 }
@@ -82,9 +82,9 @@ TEST_F(Fig9Fixture, HomonymMultiplicityIsRespected) {
   auto c = make();
   to_phase1(c, 42);
   deliver_ph1q(c, 1, 1, 1, {kLx}, 42);  // only one instance so far (our own)
-  EXPECT_EQ(env.count(kPh2QType), 0u);
+  EXPECT_EQ(env.count(MsgType::kPh2Q), 0u);
   deliver_ph1q(c, 1, 1, 1, {kLx}, 42);  // the homonym's copy
-  EXPECT_EQ(env.count(kPh2QType), 1u);
+  EXPECT_EQ(env.count(MsgType::kPh2Q), 1u);
 }
 
 TEST_F(Fig9Fixture, MessagesWithoutTheLabelDoNotCount) {
@@ -92,7 +92,7 @@ TEST_F(Fig9Fixture, MessagesWithoutTheLabelDoNotCount) {
   to_phase1(c, 42);
   deliver_ph1q(c, 1, 1, 1, {kLy}, 42);  // carries the wrong label
   deliver_ph1q(c, 2, 1, 1, {kLy}, 42);
-  EXPECT_EQ(env.count(kPh2QType), 0u);
+  EXPECT_EQ(env.count(MsgType::kPh2Q), 0u);
 }
 
 TEST_F(Fig9Fixture, MixedEstimatesInQuorumYieldBottom) {
@@ -100,7 +100,7 @@ TEST_F(Fig9Fixture, MixedEstimatesInQuorumYieldBottom) {
   to_phase1(c, 42);
   deliver_ph1q(c, 1, 1, 1, {kLx}, 42);
   deliver_ph1q(c, 2, 1, 1, {kLx}, 77);
-  const auto* ph2 = env.last_body<Ph2QMsg>(kPh2QType);
+  const auto* ph2 = env.last_body<Ph2QMsg>(MsgType::kPh2Q);
   ASSERT_NE(ph2, nullptr);
   EXPECT_EQ(ph2->est2, MaybeValue{});
 }
@@ -111,13 +111,13 @@ TEST_F(Fig9Fixture, QuorumMembersMustShareOneSubRound) {
   deliver_ph1q(c, 1, 1, 1, {kLx}, 42);
   deliver_ph1q(c, 2, 1, 2, {kLx}, 42);  // different sub-round: no quorum...
   // ...but observing sr=2 bumps us to sr=2 and rebroadcasts (lines 32-36).
-  const auto* ph1 = env.last_body<Ph1QMsg>(kPh1QType);
+  const auto* ph1 = env.last_body<Ph1QMsg>(MsgType::kPh1Q);
   ASSERT_NE(ph1, nullptr);
   EXPECT_EQ(ph1->sr, 2);
-  EXPECT_EQ(env.count(kPh2QType), 0u);
+  EXPECT_EQ(env.count(MsgType::kPh2Q), 0u);
   // A matching sr=2 message from id 1 completes the sr=2 quorum.
   deliver_ph1q(c, 1, 1, 2, {kLx}, 42);
-  EXPECT_EQ(env.count(kPh2QType), 1u);
+  EXPECT_EQ(env.count(MsgType::kPh2Q), 1u);
 }
 
 TEST_F(Fig9Fixture, LabelChangeBumpsSubRoundOnPoll) {
@@ -125,7 +125,7 @@ TEST_F(Fig9Fixture, LabelChangeBumpsSubRoundOnPoll) {
   to_phase1(c, 42);
   fd2.snap.labels.insert(kLy);  // detector output changes silently
   c.on_timer(env, env.timers.front().id);
-  const auto* ph1 = env.last_body<Ph1QMsg>(kPh1QType);
+  const auto* ph1 = env.last_body<Ph1QMsg>(MsgType::kPh1Q);
   ASSERT_NE(ph1, nullptr);
   EXPECT_EQ(ph1->sr, 2);
   EXPECT_TRUE(ph1->labels.contains(kLy));
@@ -136,7 +136,7 @@ TEST_F(Fig9Fixture, Ph2ShortCircuitsPhase1) {
   to_phase1(c, 42);
   deliver_ph2q(c, 2, 1, 1, {kLx}, MaybeValue{55});
   // Lines 23-24: adopt est2 = 55 and enter Phase 2 directly.
-  const auto* ph2 = env.last_body<Ph2QMsg>(kPh2QType);
+  const auto* ph2 = env.last_body<Ph2QMsg>(MsgType::kPh2Q);
   ASSERT_NE(ph2, nullptr);
   EXPECT_EQ(ph2->id, kSelf);
   EXPECT_EQ(ph2->est2, MaybeValue{55});
@@ -151,7 +151,7 @@ TEST_F(Fig9Fixture, Ph2QuorumUnanimousDecides) {
   deliver_ph2q(c, 2, 1, 1, {kLx}, MaybeValue{42});
   EXPECT_TRUE(c.done());
   EXPECT_EQ(c.decision().value, 42);
-  EXPECT_EQ(env.count(kDecideType), 1u);
+  EXPECT_EQ(env.count(MsgType::kDecide), 1u);
 }
 
 TEST_F(Fig9Fixture, Ph2MixedAdoptsAndAdvances) {
@@ -163,7 +163,7 @@ TEST_F(Fig9Fixture, Ph2MixedAdoptsAndAdvances) {
   deliver_ph2q(c, 2, 1, 1, {kLx}, MaybeValue{77});
   EXPECT_FALSE(c.done());
   EXPECT_EQ(c.current_round(), 2);
-  const auto* coord = env.last_body<CoordMsg>(kCoordType);
+  const auto* coord = env.last_body<CoordMsg>(MsgType::kCoord);
   ASSERT_NE(coord, nullptr);
   EXPECT_EQ(coord->r, 2);
   EXPECT_EQ(coord->est, 77);  // line 52 adopted the non-bottom value
@@ -174,9 +174,9 @@ TEST_F(Fig9Fixture, CoordOfNextRoundReleasesPhase2) {
   to_phase1(c, 42);
   deliver_ph1q(c, 1, 1, 1, {kLx}, 42);
   deliver_ph1q(c, 2, 1, 1, {kLx}, 42);
-  ASSERT_EQ(env.count(kPh2QType), 1u);
+  ASSERT_EQ(env.count(MsgType::kPh2Q), 1u);
   // No PH2 quorum ever forms; someone already opened round 2 (lines 43-44).
-  c.on_message(env, make_message(kCoordType, CoordMsg{9, 2, 5}));
+  c.on_message(env, make_message(MsgType::kCoord, CoordMsg{9, 2, 5}));
   EXPECT_EQ(c.current_round(), 2);
 }
 
@@ -185,11 +185,11 @@ TEST_F(Fig9Fixture, AnonymousVariantUsesALeader) {
   QuorumConsensus c(cfg, aomega, fd2);
   c.on_start(env);
   // Not a leader and no PH0: parked in Phase 0 (no coordination wait).
-  EXPECT_EQ(env.count(kPh1QType), 0u);
+  EXPECT_EQ(env.count(MsgType::kPh1Q), 0u);
   aomega.leader = true;
   c.on_timer(env, env.timers.front().id);
-  EXPECT_EQ(env.count(kPh0Type), 1u);
-  EXPECT_EQ(env.count(kPh1QType), 1u);
+  EXPECT_EQ(env.count(MsgType::kPh0), 1u);
+  EXPECT_EQ(env.count(MsgType::kPh1Q), 1u);
 }
 
 TEST_F(Fig9Fixture, EmptyQuorumInDetectorIsIgnored) {
@@ -197,7 +197,7 @@ TEST_F(Fig9Fixture, EmptyQuorumInDetectorIsIgnored) {
   auto c = make();
   to_phase1(c, 42);
   // The empty multiset must not instantly satisfy the scan.
-  EXPECT_EQ(env.count(kPh2QType), 0u);
+  EXPECT_EQ(env.count(MsgType::kPh2Q), 0u);
 }
 
 TEST_F(Fig9Fixture, StaleRoundTrafficIsInert) {
@@ -232,10 +232,10 @@ TEST_F(Fig9Fixture, FutureRoundQuorumTrafficIsBuffered) {
   deliver_ph2q(c, 1, 1, 1, {kLx}, MaybeValue{});
   deliver_ph2q(c, 2, 1, 1, {kLx}, MaybeValue{77});
   ASSERT_EQ(c.current_round(), 2);
-  c.on_message(env, make_message(kPh0Type, Ph0Msg{2, 9}));  // round-2 leader value
+  c.on_message(env, make_message(MsgType::kPh0, Ph0Msg{2, 9}));  // round-2 leader value
   // The buffered {1,2} quorum at sub-round 1 carries est 9 unanimously: we
   // must already have broadcast a PH2Q with est2 = 9 for round 2.
-  const auto* ph2 = env.last_body<Ph2QMsg>(kPh2QType);
+  const auto* ph2 = env.last_body<Ph2QMsg>(MsgType::kPh2Q);
   ASSERT_NE(ph2, nullptr);
   EXPECT_EQ(ph2->r, 2);
   EXPECT_EQ(ph2->est2, MaybeValue{9});
@@ -244,9 +244,9 @@ TEST_F(Fig9Fixture, FutureRoundQuorumTrafficIsBuffered) {
 TEST_F(Fig9Fixture, DecideRelayedExactlyOnce) {
   auto c = make();
   c.on_start(env);
-  c.on_message(env, make_message(kDecideType, DecideMsg{5}));
-  c.on_message(env, make_message(kDecideType, DecideMsg{5}));
-  EXPECT_EQ(env.count(kDecideType), 1u);
+  c.on_message(env, make_message(MsgType::kDecide, DecideMsg{5}));
+  c.on_message(env, make_message(MsgType::kDecide, DecideMsg{5}));
+  EXPECT_EQ(env.count(MsgType::kDecide), 1u);
   EXPECT_TRUE(c.decision().decided);
 }
 

@@ -21,7 +21,7 @@ namespace {
 
 RelTime at(SimTime ms) { return RelTime{} + std::chrono::milliseconds(ms); }
 
-Message poll(Round r, Id id) { return make_message(OHPPolling::kPollType, PollingMsg{r, id}); }
+Message poll(Round r, Id id) { return make_message(MsgType::kPolling, PollingMsg{r, id}); }
 
 std::vector<std::uint8_t> frame_of(const Message& m, ProcIndex sender, Id id) {
   return encode_frame(builtin_codecs(), m, sender, id);
@@ -161,8 +161,8 @@ TEST(RelChannel, LossDupReorderStillYieldsExactlyOnceInOrderBothWays) {
     if (sent < kN && t % 3 == 0) {
       ++sent;
       const Round r = static_cast<Round>(sent);
-      post(t, 1, a.wrap_data(1, OHPPolling::kPollType, frame_of(poll(r, 11), 0, 11), now));
-      post(t, 0, b.wrap_data(0, OHPPolling::kPollType, frame_of(poll(r, 22), 1, 22), now));
+      post(t, 1, a.wrap_data(1, MsgType::kPolling, frame_of(poll(r, 11), 0, 11), now));
+      post(t, 0, b.wrap_data(0, MsgType::kPolling, frame_of(poll(r, 22), 1, 22), now));
     }
     while (!wires.empty() && wires.begin()->first <= t) {
       auto [to, frame] = std::move(wires.begin()->second);
@@ -225,7 +225,7 @@ TEST(RelChannel, RetryExhaustionAdvancesLostFloorInsteadOfWedging) {
   // exhaustion abandon everything.
   SimTime t = 0;
   for (int i = 1; i <= 12; ++i) {
-    (void)a.wrap_data(1, OHPPolling::kPollType, frame_of(poll(static_cast<Round>(i), 11), 0, 11),
+    (void)a.wrap_data(1, MsgType::kPolling, frame_of(poll(static_cast<Round>(i), 11), 0, 11),
                       at(t));
   }
   for (; t <= 2'000; t += 5) (void)a.tick(at(t));  // frames vanish
@@ -238,7 +238,7 @@ TEST(RelChannel, RetryExhaustionAdvancesLostFloorInsteadOfWedging) {
   const auto deliver_now = [&](const std::vector<std::uint8_t>& f) {
     for (const Message& m : receive(b, 0, f, at(t))) got.push_back(m.as<PollingMsg>()->r);
   };
-  deliver_now(a.wrap_data(1, OHPPolling::kPollType, frame_of(poll(99, 11), 0, 11), at(t)));
+  deliver_now(a.wrap_data(1, MsgType::kPolling, frame_of(poll(99, 11), 0, 11), at(t)));
   ASSERT_EQ(got.size(), 1u) << "receiver wedged on abandoned sequence numbers";
   EXPECT_EQ(got[0], 99);
   EXPECT_GT(b.stats().skipped_lost, 0u);
@@ -257,7 +257,7 @@ TEST(RelChannel, SackReportedHoleIsRetransmittedBeforeItsRto) {
     ReliableChannel b(cfg, 1, 22, 2, 0, nullptr);
     std::vector<std::vector<std::uint8_t>> wire;
     for (int i = 1; i <= 1 + held_past_hole; ++i) {
-      wire.push_back(a.wrap_data(1, OHPPolling::kPollType,
+      wire.push_back(a.wrap_data(1, MsgType::kPolling,
                                  frame_of(poll(static_cast<Round>(i), 11), 0, 11), at(0)));
     }
     std::vector<Round> got;
@@ -295,7 +295,7 @@ TEST(RelChannel, EpochBumpRequeuesUnackedAndDropsStaleIncarnation) {
   // Five payloads reach the first incarnation, but every ack is lost.
   for (int i = 1; i <= 5; ++i) {
     const auto f =
-        a.wrap_data(1, OHPPolling::kPollType, frame_of(poll(static_cast<Round>(i), 11), 0, 11),
+        a.wrap_data(1, MsgType::kPolling, frame_of(poll(static_cast<Round>(i), 11), 0, 11),
                     at(10 * i));
     (void)receive(b1, 0, f, at(10 * i));
   }
@@ -315,7 +315,7 @@ TEST(RelChannel, EpochBumpRequeuesUnackedAndDropsStaleIncarnation) {
   std::vector<Round> got;
   for (const RelSend& s : requeued) {
     EXPECT_EQ(s.to, 1u);
-    EXPECT_EQ(s.type, OHPPolling::kPollType);
+    EXPECT_EQ(s.type, MsgType::kPolling);
     for (const Message& m : receive(b2, 0, s.frame, at(110))) {
       got.push_back(m.as<PollingMsg>()->r);
     }
@@ -328,9 +328,9 @@ TEST(RelChannel, EpochBumpRequeuesUnackedAndDropsStaleIncarnation) {
   ReliableChannel a0(cfg, 1, 22, 2, /*self_epoch=*/0, nullptr);
   ReliableChannel a1(cfg, 1, 22, 2, /*self_epoch=*/1, nullptr);
   const auto old_frame =
-      a0.wrap_data(0, OHPPolling::kPollType, frame_of(poll(1, 22), 1, 22), at(0));
+      a0.wrap_data(0, MsgType::kPolling, frame_of(poll(1, 22), 1, 22), at(0));
   const auto new_frame =
-      a1.wrap_data(0, OHPPolling::kPollType, frame_of(poll(2, 22), 1, 22), at(1));
+      a1.wrap_data(0, MsgType::kPolling, frame_of(poll(2, 22), 1, 22), at(1));
   EXPECT_EQ(receive(c, 1, new_frame, at(2)).size(), 1u);
   EXPECT_TRUE(receive(c, 1, old_frame, at(3)).empty());  // delayed pre-restart frame
   EXPECT_GE(c.stats().stale_epoch_drops, 1u);
@@ -350,7 +350,7 @@ TEST(RelChannel, VirtualTimeRunsAreReproducible) {
     std::multimap<SimTime, std::vector<std::uint8_t>> wires;
     for (SimTime t = 0; t <= 3'000; ++t) {
       if (t < 300 && t % 10 == 0) {
-        auto f = a.wrap_data(1, OHPPolling::kPollType,
+        auto f = a.wrap_data(1, MsgType::kPolling,
                              frame_of(poll(static_cast<Round>(t), 1), 0, 1), at(t));
         if (!medium.chance(0.5)) wires.emplace(t + 1 + medium.uniform(0, 10), std::move(f));
       }
@@ -384,7 +384,7 @@ TEST(RelChannel, VirtualTimeRunsAreReproducible) {
 class HealAt final : public LinkInterposer {
  public:
   explicit HealAt(SimTime heal) : heal_(heal) {}
-  CopyVerdict on_copy(SimTime now, ProcIndex, ProcIndex, const std::string&) override {
+  CopyVerdict on_copy(SimTime now, ProcIndex, ProcIndex, MsgType) override {
     ++calls_;
     CopyVerdict v;
     v.drop = now < heal_;
@@ -402,7 +402,7 @@ TEST(RelEmulator, RecoversDroppedCopyAtFirstPostHealRetry) {
   HealAt inner(100);
   ReliableLinkEmulator rel(inner);  // rto 8 ms doubling, so retries at
                                     // +8, +24, +56, +120, ...
-  const CopyVerdict v = rel.on_copy(0, 0, 1, "POLLING");
+  const CopyVerdict v = rel.on_copy(0, 0, 1, MsgType::kPolling);
   EXPECT_FALSE(v.drop);
   EXPECT_EQ(v.extra_delay, 120);  // first retry instant at or past heal=100
   EXPECT_EQ(v.duplicates, 0u);    // injected duplicates suppressed...
@@ -411,7 +411,7 @@ TEST(RelEmulator, RecoversDroppedCopyAtFirstPostHealRetry) {
   EXPECT_EQ(rel.given_up(), 0u);
 
   // Post-heal copies pass straight through with no added delay.
-  const CopyVerdict clean = rel.on_copy(500, 0, 1, "POLLING");
+  const CopyVerdict clean = rel.on_copy(500, 0, 1, MsgType::kPolling);
   EXPECT_FALSE(clean.drop);
   EXPECT_EQ(clean.extra_delay, 0);
 }
@@ -421,7 +421,7 @@ TEST(RelEmulator, PermanentBlackholeGivesUpAfterBoundedAttempts) {
   ReliableLinkEmulator::Config cfg;
   cfg.max_attempts = 5;
   ReliableLinkEmulator rel(inner, cfg);
-  const CopyVerdict v = rel.on_copy(0, 0, 1, "POLLING");
+  const CopyVerdict v = rel.on_copy(0, 0, 1, MsgType::kPolling);
   EXPECT_TRUE(v.drop);
   EXPECT_EQ(rel.given_up(), 1u);
   EXPECT_EQ(inner.calls(), 5);  // the retry budget, no more

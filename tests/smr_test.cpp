@@ -134,7 +134,7 @@ TEST(SmrInstanceManager, BufferedMessagesReplayIntoEngine) {
   FakeEnv env(1);
 
   // A consensus message arriving before the engine exists is buffered...
-  EXPECT_TRUE(im.buffer_message(3, make_message("PH1", 0)));
+  EXPECT_TRUE(im.buffer_message(3, make_message(MsgType::kPh1, 0)));
   EXPECT_EQ(im.slot(3).buffered.size(), 1u);
 
   // ...and consumed at creation.
@@ -142,12 +142,14 @@ TEST(SmrInstanceManager, BufferedMessagesReplayIntoEngine) {
   EXPECT_TRUE(im.slot(3).buffered.empty());
 
   // Buffer bound: beyond max_buffered the message is dropped.
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(im.buffer_message(9, make_message("PH1", 0)));
-  EXPECT_FALSE(im.buffer_message(9, make_message("PH1", 0)));
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(im.buffer_message(9, make_message(MsgType::kPh1, 0)));
+  }
+  EXPECT_FALSE(im.buffer_message(9, make_message(MsgType::kPh1, 0)));
 
   // A committed slot refuses buffering — late consensus traffic is noise.
   im.slot(7).committed = true;
-  EXPECT_FALSE(im.buffer_message(7, make_message("PH1", 0)));
+  EXPECT_FALSE(im.buffer_message(7, make_message(MsgType::kPh1, 0)));
 }
 
 TEST(SmrInstanceManager, GcNeverDropsUndecidedSlotsAboveFrontier) {
@@ -244,7 +246,7 @@ TEST(SmrReplica, AppliesInOrderUnderOutOfOrderCommits) {
     a.batch = batch_of(make_batch_id(0, slot),
                        {{static_cast<std::uint64_t>(100 + slot), 1, slot, slot * 10, {}}});
     a.commits = std::move(commits);
-    rep.on_message(env, make_message(kSmrAppendType, a));
+    rep.on_message(env, make_message(MsgType::kSmrAppend, a));
   };
 
   append(1, {});
@@ -290,14 +292,14 @@ TEST(SmrReplica, ConflictingCommitRecordDropsBodyAndWaits) {
   a.epoch = 3;
   a.slot = 1;
   a.batch = batch_of(make_batch_id(0, 1), {{100, 1, 1, 10, {}}});
-  rep.on_message(env, make_message(kSmrAppendType, a));
+  rep.on_message(env, make_message(MsgType::kSmrAppend, a));
 
   // A later epoch's recovery committed a different batch at slot 1.
   SmrAckMsg k;
   k.epoch = 4;
   k.replica = 1;
   k.commits = {{1, make_batch_id(1, 9)}};
-  rep.on_message(env, make_message(kSmrAckType, k));
+  rep.on_message(env, make_message(MsgType::kSmrAck, k));
 
   // Known committed, but the body we hold is wrong: nothing applied.
   EXPECT_EQ(rep.applied_through(), 0);
@@ -309,7 +311,7 @@ TEST(SmrReplica, ConflictingCommitRecordDropsBodyAndWaits) {
   fix.slot = 1;
   fix.batch = batch_of(make_batch_id(1, 9), {{200, 1, 1, 77, {}}});
   fix.commits = {{1, make_batch_id(1, 9)}};
-  rep.on_message(env, make_message(kSmrAppendType, fix));
+  rep.on_message(env, make_message(MsgType::kSmrAppend, fix));
   EXPECT_EQ(rep.applied_through(), 1);
   EXPECT_EQ(rep.kv().get(1), 77);
 }

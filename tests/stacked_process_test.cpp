@@ -23,14 +23,14 @@ class Component final : public Process {
     timer_at = env.local_now();
   }
   SimTime delay_;
-  std::vector<std::string> seen;
+  std::vector<MsgType> seen;
   int timer_count = 0;
   SimTime timer_at = -1;
 };
 
 class Sender final : public Process {
  public:
-  void on_start(Env& env) override { env.broadcast(make_message("TICK", Tick{})); }
+  void on_start(Env& env) override { env.broadcast(make_message(MsgType::kTest0, Tick{})); }
 };
 
 TEST(StackedProcess, MessagesReachEveryComponentTimersOnlyTheirOwner) {
@@ -47,8 +47,8 @@ TEST(StackedProcess, MessagesReachEveryComponentTimersOnlyTheirOwner) {
   sys.start();
   sys.run_until(20);
 
-  EXPECT_EQ(a->seen, std::vector<std::string>{"TICK"});
-  EXPECT_EQ(b->seen, std::vector<std::string>{"TICK"});
+  EXPECT_EQ(a->seen, std::vector<MsgType>{MsgType::kTest0});
+  EXPECT_EQ(b->seen, std::vector<MsgType>{MsgType::kTest0});
   EXPECT_EQ(a->timer_count, 1);
   EXPECT_EQ(b->timer_count, 1);
   EXPECT_EQ(a->timer_at, 5);

@@ -84,7 +84,7 @@ class PingProcess : public Process {
     env.set_timer(period_ms);
   }
   void on_message(Env&, const Message& m) override {
-    if (m.type != AliveRanker::kMsgType) return;
+    if (m.type != MsgType::kAlive) return;
     ++pings;
     last_wire_bytes = m.meta_wire_bytes;
     wire_bytes += m.meta_wire_bytes;
@@ -99,7 +99,7 @@ class PingProcess : public Process {
 
  private:
   static void ping(Env& env) {
-    env.broadcast(make_message(AliveRanker::kMsgType, AliveMsg{env.self_id()}));
+    env.broadcast(make_message(MsgType::kAlive, AliveMsg{env.self_id()}));
   }
 };
 

@@ -25,13 +25,13 @@ class ScriptEnv final : public Env {
 
   // --- assertion helpers -------------------------------------------------
 
-  [[nodiscard]] std::size_t count(const std::string& type) const {
+  [[nodiscard]] std::size_t count(MsgType type) const {
     return static_cast<std::size_t>(
         std::count_if(sent.begin(), sent.end(), [&](const Message& m) { return m.type == type; }));
   }
 
   // Last sent message of `type` (nullptr if none).
-  [[nodiscard]] const Message* last(const std::string& type) const {
+  [[nodiscard]] const Message* last(MsgType type) const {
     for (auto it = sent.rbegin(); it != sent.rend(); ++it) {
       if (it->type == type) return &*it;
     }
@@ -39,7 +39,7 @@ class ScriptEnv final : public Env {
   }
 
   template <typename T>
-  [[nodiscard]] const T* last_body(const std::string& type) const {
+  [[nodiscard]] const T* last_body(MsgType type) const {
     const Message* m = last(type);
     return m == nullptr ? nullptr : m->as<T>();
   }

@@ -18,7 +18,7 @@ class Echo final : public SyncProcess {
   explicit Echo(Id id) : id_(id) {}
   std::vector<Message> step_send(std::size_t step) override {
     sends.push_back(step);
-    return {make_message("STEP", StepMsg{id_, step})};
+    return {make_message(MsgType::kTest0, StepMsg{id_, step})};
   }
   void step_recv(std::size_t step, const std::vector<Message>& delivered) override {
     std::vector<Id> froms;

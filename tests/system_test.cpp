@@ -22,7 +22,7 @@ class Recorder final : public Process {
   void on_start(Env& env) override {
     started_at = env.local_now();
     self = env.self_id();
-    if (broadcast_on_start) env.broadcast(make_message("PING", PingMsg{7}));
+    if (broadcast_on_start) env.broadcast(make_message(MsgType::kTest0, PingMsg{7}));
     if (timer_delay >= 0) env.set_timer(timer_delay);
   }
   void on_message(Env&, const Message& m) override {
@@ -30,7 +30,7 @@ class Recorder final : public Process {
   }
   void on_timer(Env& env, TimerId) override {
     ++timers_fired;
-    if (broadcast_on_timer) env.broadcast(make_message("PING", PingMsg{9}));
+    if (broadcast_on_timer) env.broadcast(make_message(MsgType::kTest0, PingMsg{9}));
   }
 
   bool broadcast_on_start = false;
@@ -80,7 +80,7 @@ TEST(System, BroadcastReachesEveryoneIncludingSelf) {
   EXPECT_EQ(sys.net_stats().broadcasts, 1u);
   EXPECT_EQ(sys.net_stats().copies_sent, 4u);
   EXPECT_EQ(sys.net_stats().copies_delivered, 4u);
-  // "PING" has no registered wire codec, so the byte estimate is zero.
+  // A test kind has no wire codec, so the byte estimate is zero.
   EXPECT_EQ(sys.net_stats().bytes_sent, 0u);
   EXPECT_EQ(sys.net_stats().bytes_received, 0u);
 }
@@ -90,7 +90,7 @@ TEST(System, ByteCountersTrackEstimatedFrameSizes) {
   // so simulated byte counts are comparable with the UDP substrate's.
   struct AliveOnce final : Process {
     void on_start(Env& env) override {
-      env.broadcast(make_message(AliveRanker::kMsgType, AliveMsg{env.self_id()}));
+      env.broadcast(make_message(MsgType::kAlive, AliveMsg{env.self_id()}));
     }
   };
   System sys(base_config(3));
@@ -99,7 +99,7 @@ TEST(System, ByteCountersTrackEstimatedFrameSizes) {
   sys.start();
   sys.run_until(50);
   const auto frame = net::encoded_frame_size(
-      net::builtin_codecs(), make_message(AliveRanker::kMsgType, AliveMsg{1}), 0, 1);
+      net::builtin_codecs(), make_message(MsgType::kAlive, AliveMsg{1}), 0, 1);
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(sys.net_stats().bytes_sent, 3 * *frame);
   EXPECT_EQ(sys.net_stats().bytes_received, 3 * *frame);

@@ -10,7 +10,7 @@ TEST(AsyncTiming, DeliversWithinConfiguredRangeNeverLoses) {
   AsyncTiming t(2, 9);
   Rng rng(1);
   for (int k = 0; k < 2000; ++k) {
-    auto when = t.delivery_at(100, 0, 1, "", rng);
+    auto when = t.delivery_at(100, 0, 1, MsgType::kNone, rng);
     ASSERT_TRUE(when.has_value());
     EXPECT_GE(*when, 102);
     EXPECT_LE(*when, 109);
@@ -26,7 +26,7 @@ TEST(PartialSyncTiming, PostGstWithinDelta) {
   PartialSyncTiming t({.gst = 50, .delta = 4, .pre_gst_loss = 1.0, .pre_gst_max_delay = 100});
   Rng rng(1);
   for (int k = 0; k < 2000; ++k) {
-    auto when = t.delivery_at(50, 0, 1, "", rng);  // sent exactly at GST counts as post
+    auto when = t.delivery_at(50, 0, 1, MsgType::kNone, rng);  // sent exactly at GST counts as post
     ASSERT_TRUE(when.has_value());
     EXPECT_GE(*when, 51);
     EXPECT_LE(*when, 54);
@@ -38,7 +38,7 @@ TEST(PartialSyncTiming, PreGstCanLose) {
   Rng rng(1);
   int lost = 0;
   for (int k = 0; k < 2000; ++k) {
-    if (!t.delivery_at(10, 0, 1, "", rng)) ++lost;
+    if (!t.delivery_at(10, 0, 1, MsgType::kNone, rng)) ++lost;
   }
   EXPECT_NEAR(lost, 1000, 120);
 }
@@ -47,7 +47,7 @@ TEST(PartialSyncTiming, PreGstSurvivorsAreFinitelyDelayed) {
   PartialSyncTiming t({.gst = 50, .delta = 1, .pre_gst_loss = 0.0, .pre_gst_max_delay = 30});
   Rng rng(1);
   for (int k = 0; k < 2000; ++k) {
-    auto when = t.delivery_at(10, 0, 1, "", rng);
+    auto when = t.delivery_at(10, 0, 1, MsgType::kNone, rng);
     ASSERT_TRUE(when.has_value());
     EXPECT_GE(*when, 11);
     EXPECT_LE(*when, 40);  // may land after GST — allowed by the model
@@ -57,7 +57,9 @@ TEST(PartialSyncTiming, PreGstSurvivorsAreFinitelyDelayed) {
 TEST(PartialSyncTiming, NoLossAfterGstEvenWithFullPreLoss) {
   PartialSyncTiming t({.gst = 0, .delta = 3, .pre_gst_loss = 1.0, .pre_gst_max_delay = 1});
   Rng rng(1);
-  for (int k = 0; k < 500; ++k) EXPECT_TRUE(t.delivery_at(k, 0, 1, "", rng).has_value());
+  for (int k = 0; k < 500; ++k) {
+    EXPECT_TRUE(t.delivery_at(k, 0, 1, MsgType::kNone, rng).has_value());
+  }
 }
 
 TEST(PartialSyncTiming, ValidatesParameters) {
@@ -71,7 +73,7 @@ TEST(BoundedTiming, AlwaysWithinKnownBound) {
   BoundedTiming t(5);
   Rng rng(3);
   for (int k = 0; k < 2000; ++k) {
-    auto when = t.delivery_at(7, 0, 1, "", rng);
+    auto when = t.delivery_at(7, 0, 1, MsgType::kNone, rng);
     ASSERT_TRUE(when.has_value());
     EXPECT_GE(*when, 8);
     EXPECT_LE(*when, 12);
@@ -101,7 +103,7 @@ TEST(PerLinkTiming, DeliveryWithinBasePlusJitterNeverLost) {
   PerLinkTiming t(1, 5, 3, 7);
   Rng rng(1);
   for (int k = 0; k < 1000; ++k) {
-    auto when = t.delivery_at(50, 2, 3, "", rng);
+    auto when = t.delivery_at(50, 2, 3, MsgType::kNone, rng);
     ASSERT_TRUE(when.has_value());
     EXPECT_GE(*when, 50 + t.base_delay(2, 3));
     EXPECT_LE(*when, 50 + t.base_delay(2, 3) + 3);

@@ -16,7 +16,7 @@ struct EchoMsg {};
 class Chatter final : public Process {
  public:
   void on_start(Env& env) override {
-    env.broadcast(make_message("CHAT", EchoMsg{}));
+    env.broadcast(make_message(MsgType::kTest0, EchoMsg{}));
     env.set_timer(5);
   }
   void on_timer(Env&, TimerId) override { ++timer_fires; }
@@ -54,7 +54,7 @@ TEST(TraceLog, RecordsStartsBroadcastsDeliveriesTimersCrashes) {
   std::map<TraceEvent::Kind, std::size_t> kinds;
   for (const auto& e : log.events()) ++kinds[e.kind];
   EXPECT_EQ(kinds[TraceEvent::Kind::kStart], 3u);
-  EXPECT_EQ(kinds[TraceEvent::Kind::kBroadcast], 3u);  // one CHAT each
+  EXPECT_EQ(kinds[TraceEvent::Kind::kBroadcast], 3u);  // one TEST0 each
   EXPECT_EQ(kinds[TraceEvent::Kind::kCrash], 1u);
   EXPECT_GE(kinds[TraceEvent::Kind::kTimer], 2u);  // the crashed one may miss
   // 9 copies: some to the process crashed at t=3 may arrive late.
@@ -77,9 +77,9 @@ TEST(TraceLog, Filters) {
   sys.run_until(20);
   const TraceLog& log = sys.trace();
   for (const auto& e : log.by_proc(0)) EXPECT_EQ(e.proc, 0u);
-  for (const auto& e : log.by_type("CHAT")) EXPECT_EQ(e.msg_type, "CHAT");
+  for (const auto& e : log.by_type("TEST0")) EXPECT_EQ(e.msg_type, "TEST0");
   auto counts = log.counts_by_type(TraceEvent::Kind::kBroadcast);
-  EXPECT_EQ(counts["CHAT"], 3u);
+  EXPECT_EQ(counts["TEST0"], 3u);
 }
 
 TEST(TraceLog, CapacityTruncates) {
@@ -167,7 +167,7 @@ TEST(TraceLog, LossyLinksRecordLostCopies) {
   for (const auto& e : sys.trace().events()) {
     if (e.kind == TraceEvent::Kind::kLost) ++lost;
   }
-  EXPECT_EQ(lost, 4u);  // both CHAT broadcasts fully dropped pre-GST
+  EXPECT_EQ(lost, 4u);  // both TEST0 broadcasts fully dropped pre-GST
 }
 
 }  // namespace

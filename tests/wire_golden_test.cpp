@@ -1,7 +1,8 @@
 // Golden wire-format fixtures: freezes the v1 frame layout.
 //
 // Each registered body type has one fixed sample message; its encoded frame
-// is compared byte-for-byte against the committed tests/wire/<type>.bin.
+// is compared byte-for-byte against the committed tests/wire/tagNN_<NAME>.bin
+// (NN the MsgType value, NAME its type_name).
 // If any of these fail, the change is wire-incompatible: a v1 hds_node can
 // no longer talk to the new build. Either revert the layout change or bump
 // kWireVersion and regenerate the fixtures with:
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
@@ -46,45 +48,47 @@ std::set<Label> sample_labels() {
 // One deterministic sample per registered type, sent by index 2 / id 7.
 // Values are arbitrary but varied enough to exercise multi-byte varints,
 // negative zigzags, and the optional/absent MaybeValue arm.
-std::map<std::string, Message> sample_messages() {
-  std::map<std::string, Message> out;
+std::map<MsgType, Message> sample_messages() {
+  std::map<MsgType, Message> out;
   const auto put = [&](Message m) { out[m.type] = std::move(m); };
-  put(make_message(AliveRanker::kMsgType, AliveMsg{300}));
-  put(make_message(APSyncProcess::kMsgType, ApAliveMsg{}));
-  put(make_message(HOmegaHeartbeat::kMsgType, HeartbeatMsg{9, 12345}));
-  put(make_message(HSigmaSyncProcess::kMsgType, IdentMsg{130}));
-  put(make_message(OHPPolling::kPollType, PollingMsg{17, 42}));
-  put(make_message(OHPPolling::kReplyType, PollReplyMsg{3, 17, 42, 7}));
-  put(make_message(kCoordType, CoordMsg{7, 4, -250, 1}));
-  put(make_message(kPh0Type, Ph0Msg{2, 101, 0}));
-  put(make_message(kPh1Type, Ph1Msg{5, -3, 2}));
-  put(make_message(kPh2Type, Ph2Msg{6, std::nullopt, 0}));
-  put(make_message(kDecideType, DecideMsg{102, 3}));
-  put(make_message(kPh1QType, Ph1QMsg{7, 8, 6, sample_labels(), 103, 1}));
-  put(make_message(kPh2QType, Ph2QMsg{7, 9, 7, sample_labels(), MaybeValue{104}, -1}));
+  put(make_message(MsgType::kAlive, AliveMsg{300}));
+  put(make_message(MsgType::kApAlive, ApAliveMsg{}));
+  put(make_message(MsgType::kHeartbeat, HeartbeatMsg{9, 12345}));
+  put(make_message(MsgType::kIdent, IdentMsg{130}));
+  put(make_message(MsgType::kPolling, PollingMsg{17, 42}));
+  put(make_message(MsgType::kPollReply, PollReplyMsg{3, 17, 42, 7}));
+  put(make_message(MsgType::kCoord, CoordMsg{7, 4, -250, 1}));
+  put(make_message(MsgType::kPh0, Ph0Msg{2, 101, 0}));
+  put(make_message(MsgType::kPh1, Ph1Msg{5, -3, 2}));
+  put(make_message(MsgType::kPh2, Ph2Msg{6, std::nullopt, 0}));
+  put(make_message(MsgType::kDecide, DecideMsg{102, 3}));
+  put(make_message(MsgType::kPh1Q, Ph1QMsg{7, 8, 6, sample_labels(), 103, 1}));
+  put(make_message(MsgType::kPh2Q, Ph2QMsg{7, 9, 7, sample_labels(), MaybeValue{104}, -1}));
   // SMR bodies: ops with and without padding, nested batches, commit
   // records, a multi-entry promise.
   const smr::SmrOp op1{smr::kClientStride + 3, 11, 42, -5, {}};
   const smr::SmrOp op2{2 * smr::kClientStride, 1, 300, 77, {0xAB, 0xCD}};
   const smr::SmrBatch batch{smr::make_batch_id(1, 9), {op1, op2}};
-  put(make_message(smr::kSmrAppendType,
+  put(make_message(MsgType::kSmrAppend,
                    smr::SmrAppendMsg{5, 12, batch, {{10, smr::make_batch_id(0, 4)}, {11, 0}}}));
-  put(make_message(smr::kSmrAckType,
+  put(make_message(MsgType::kSmrAck,
                    smr::SmrAckMsg{5, 2, 12, 10, 11, {{11, smr::make_batch_id(2, 1)}}, {op1}}));
-  put(make_message(smr::kSmrNewEpochType, smr::SmrNewEpochMsg{8, 13, 2}));
-  put(make_message(smr::kSmrPromiseType,
+  put(make_message(MsgType::kSmrNewEpoch, smr::SmrNewEpochMsg{8, 13, 2}));
+  put(make_message(MsgType::kSmrPromise,
                    smr::SmrPromiseMsg{8,
                                       1,
                                       10,
                                       {{11, 5, true, batch},
                                        {12, 5, false, smr::SmrBatch{smr::kNoopBatchId, {}}}}}));
-  put(make_message(smr::kSmrProposeType, smr::SmrProposeMsg{8, 12, batch}));
+  put(make_message(MsgType::kSmrPropose, smr::SmrProposeMsg{8, 12, batch}));
   return out;
 }
 
+MsgType type_of(const BodyCodec& c) { return MsgType{c.tag}; }
+
 std::string fixture_path(const BodyCodec& c) {
   return std::string(HDS_WIRE_DIR) + "/tag" + (c.tag < 10 ? "0" : "") + std::to_string(c.tag) +
-         "_" + c.type + ".bin";
+         "_" + type_name(type_of(c)) + ".bin";
 }
 
 std::vector<std::uint8_t> read_bin(const std::string& path) {
@@ -97,8 +101,9 @@ TEST(WireGolden, V1FrameLayoutIsFrozen) {
   const bool regen = std::getenv("HDS_REGEN_WIRE") != nullptr;
   auto samples = sample_messages();
   for (const BodyCodec* c : builtin_codecs().all()) {
-    ASSERT_TRUE(samples.count(c->type)) << "no golden sample for registered type " << c->type;
-    const auto frame = encode_frame(builtin_codecs(), samples.at(c->type), /*sender_index=*/2,
+    ASSERT_TRUE(samples.count(type_of(*c)))
+        << "no golden sample for registered type " << type_name(type_of(*c));
+    const auto frame = encode_frame(builtin_codecs(), samples.at(type_of(*c)), /*sender_index=*/2,
                                     /*sender_id=*/7);
     const std::string path = fixture_path(*c);
     if (regen) {
@@ -109,7 +114,7 @@ TEST(WireGolden, V1FrameLayoutIsFrozen) {
       continue;
     }
     EXPECT_EQ(frame, read_bin(path))
-        << c->type << ": encoded frame diverges from the committed v1 fixture";
+        << type_name(type_of(*c)) << ": encoded frame diverges from the committed v1 fixture";
   }
   // No stale fixtures for since-unregistered types: count must match.
   ASSERT_EQ(samples.size(), builtin_codecs().all().size());
@@ -122,9 +127,29 @@ TEST(WireGolden, FixturesStillDecodeToTheSampleValues) {
     const auto bytes = read_bin(fixture_path(*c));
     ASSERT_FALSE(bytes.empty());
     const Message m = decode_frame(builtin_codecs(), bytes.data(), bytes.size());
-    EXPECT_EQ(m.type, c->type);
+    EXPECT_EQ(m.type, type_of(*c));
     EXPECT_EQ(m.meta_sender, 2u);
   }
+}
+
+TEST(WireGolden, EveryTagFixtureIsNamedAfterItsRegisteredKind) {
+  // tests/wire/tagNN_<NAME>.bin: NN is a registered codec's tag and NAME
+  // is that MsgType's name in the one name table.
+  std::size_t fixtures = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(HDS_WIRE_DIR)) {
+    const std::string file = entry.path().filename().string();
+    if (file.rfind("tag", 0) != 0) continue;
+    ++fixtures;
+    ASSERT_GT(file.size(), 6u + 4u) << file;
+    ASSERT_EQ(file[5], '_') << file;
+    const int tag = std::stoi(file.substr(3, 2));
+    ASSERT_GT(tag, 0) << file;
+    ASSERT_LT(tag, int{kFirstLocalTag}) << file;
+    const MsgType t{static_cast<std::uint8_t>(tag)};
+    EXPECT_NE(builtin_codecs().by_tag(tag_of(t)), nullptr) << file << ": tag has no codec";
+    EXPECT_EQ(file, "tag" + file.substr(3, 2) + "_" + type_name(t) + ".bin");
+  }
+  EXPECT_EQ(fixtures, builtin_codecs().all().size());
 }
 
 TEST(WireGolden, TraceContextExtensionLayoutIsFrozen) {
@@ -132,7 +157,7 @@ TEST(WireGolden, TraceContextExtensionLayoutIsFrozen) {
   // lineage id / parent / Lamport clock varints between the sender id and
   // the body length). One fixture pins its layout; the per-type fixtures
   // above pin that untraced frames carry none of it.
-  Message m = sample_messages().at(OHPPolling::kPollType);
+  Message m = sample_messages().at(MsgType::kPolling);
   m.meta_causal_id = (std::uint64_t{2} << 48) | 9;
   m.meta_causal_parent = (std::uint64_t{2} << 48) | 4;
   m.meta_causal_clock = 77;
@@ -158,7 +183,7 @@ TEST(WireGolden, RelHeaderExtensionLayoutIsFrozen) {
   // epoch/seq/floor/ack varints right before the body length). One fixture
   // pins its layout; the per-type fixtures above pin that reliability-off
   // frames stay byte-identical to plain v1.
-  const auto inner = encode_frame(builtin_codecs(), sample_messages().at(OHPPolling::kPollType),
+  const auto inner = encode_frame(builtin_codecs(), sample_messages().at(MsgType::kPolling),
                                   /*sender_index=*/2, /*sender_id=*/7);
   RelHeader h;
   h.epoch = 1;

@@ -129,7 +129,7 @@ struct NodeOptions {
 };
 
 // Symmetric Bernoulli loss on every inter-node copy. Seeded and internally
-// synchronized per the LinkInterposer contract. REL_ACK and retransmission
+// synchronized per the LinkInterposer contract. Standalone acks and retransmission
 // copies are judged like any other traffic — the ARQ layer has to survive
 // losing its own acks too.
 class SymmetricLoss final : public hds::LinkInterposer {
@@ -137,7 +137,7 @@ class SymmetricLoss final : public hds::LinkInterposer {
   SymmetricLoss(double p, std::uint64_t seed) : p_(p), rng_(seed) {}
 
   hds::CopyVerdict on_copy(hds::SimTime, hds::ProcIndex from, hds::ProcIndex to,
-                           const std::string&) override {
+                           hds::MsgType) override {
     if (from == to) return {};
     std::lock_guard<std::mutex> lk(mu_);
     hds::CopyVerdict v;
