@@ -58,8 +58,8 @@ class NetSystem::Node {
     }});
   }
 
-  void post(std::function<void(Process&)> fn) {
-    enqueue(Clock::now(), Task{[fn = std::move(fn)](Process& p, Env&) { fn(p); }});
+  bool post(std::function<void(Process&)> fn) {
+    return enqueue(Clock::now(), Task{[fn = std::move(fn)](Process& p, Env&) { fn(p); }});
   }
 
   void request_stop() {
@@ -289,8 +289,7 @@ void NetSystem::crash() { node_->crash(); }
 bool NetSystem::is_crashed() const { return node_->crashed(); }
 
 void NetSystem::post_task(std::function<void(Process&)> task) {
-  if (node_->crashed()) throw std::runtime_error("NetSystem::query: node crashed");
-  node_->post(std::move(task));
+  if (!node_->post(std::move(task))) throw std::runtime_error("NetSystem::query: node crashed");
 }
 
 void NetSystem::note_delivered() {

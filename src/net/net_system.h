@@ -47,6 +47,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -153,21 +154,27 @@ class NetSystem {
 
   // Runs `fn` on the node thread against the local process and returns the
   // result. Blocks until executed; throws std::runtime_error once the node
-  // has crashed.
+  // has crashed, including when it crashes while the query is queued.
   template <typename F>
   auto query(F&& fn) -> decltype(fn(std::declval<Process&>())) {
     using R = decltype(fn(std::declval<Process&>()));
-    std::promise<R> prom;
-    auto fut = prom.get_future();
-    post_task([&prom, fn = std::forward<F>(fn)](Process& p) mutable {
+    // The queued task owns the promise: a crash drops the task unrun, which
+    // breaks the promise instead of leaving the caller waiting forever.
+    auto prom = std::make_shared<std::promise<R>>();
+    auto fut = prom->get_future();
+    post_task([prom = std::move(prom), fn = std::forward<F>(fn)](Process& p) mutable {
       if constexpr (std::is_void_v<R>) {
         fn(p);
-        prom.set_value();
+        prom->set_value();
       } else {
-        prom.set_value(fn(p));
+        prom->set_value(fn(p));
       }
     });
-    return fut.get();
+    try {
+      return fut.get();
+    } catch (const std::future_error&) {
+      throw std::runtime_error("NetSystem::query: node crashed");
+    }
   }
 
   // Polls `pred` on the caller thread until it holds or timeout.

@@ -11,6 +11,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -140,6 +142,34 @@ TEST(NetSystem, TimersFire) {
   c.start_all();
   EXPECT_TRUE(c.sys[0]->wait_for(
       [&] { return c.sys[0]->query([&](Process&) { return probe->timers; }) >= 2; }, 5s));
+}
+
+TEST(NetSystem, QueryOnACrashingNodeThrows) {
+  // Query 1 holds the node thread on a latch while query 2 waits in the
+  // mailbox; the crash drops query 2 unrun, and its caller must get the
+  // crash error instead of blocking forever.
+  Cluster c({1});
+  install_pings(c);
+  c.start_all();
+  std::latch running(1);
+  std::latch release(1);
+  auto q1 = std::async(std::launch::async, [&] {
+    return c.sys[0]->query([&](Process&) {
+      running.count_down();
+      release.wait();
+      return 1;
+    });
+  });
+  running.wait();
+  auto q2 = std::async(std::launch::async,
+                       [&] { return c.sys[0]->query([](Process&) { return 2; }); });
+  std::this_thread::sleep_for(50ms);  // let query 2 reach the mailbox
+  c.sys[0]->crash();
+  release.count_down();
+  EXPECT_EQ(q1.get(), 1);  // already running at the crash: completes
+  ASSERT_EQ(q2.wait_for(5s), std::future_status::ready) << "query 2 hangs after the crash";
+  EXPECT_THROW(q2.get(), std::runtime_error);
+  EXPECT_THROW(c.sys[0]->query([](Process&) {}), std::runtime_error);
 }
 
 TEST(NetSystem, CrashedNodeStopsReceiving) {
