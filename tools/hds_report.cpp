@@ -7,8 +7,12 @@
 //     flaps/settle — with an online monitor watching the post-GST window;
 //   - Fig. 7 (HΣ) in the lock-step synchronous system: quorum intersection
 //     margins, liveness waits;
-//   - the chosen consensus stack (--stack fig8: Fig. 6 ▸ Fig. 8 in HPS;
+//   - the chosen consensus stack (--stack fig8: Fig. 6 ▸ Fig. 8 in HPS, its
+//     pre-GST loss recovered by the ARQ emulator as a deployment would;
 //     --stack fig9: Fig. 6 + Fig. 7-adapter ▸ Fig. 9 under a known bound);
+//     the fig8 arm also reports bare Fig. 8 under the same loss with no
+//     ARQ as an ungated row, because it may never decide (reproduction
+//     finding 1 in EXPERIMENTS.md);
 //   - the replicated log (src/smr) on the HΩ-oracle substrate: closed-loop
 //     client throughput, commit-latency p50/p99 and the appends-per-batch
 //     fast-path ratio, all seed-deterministic and baseline-compared like
@@ -30,8 +34,10 @@
 #include <string>
 #include <vector>
 
+#include "chaos/injector.h"
 #include "consensus/harness.h"
 #include "exp/runner.h"
+#include "net/reliable.h"
 #include "obs/json.h"
 #include "obs/monitor.h"
 #include "obs/qos.h"
@@ -190,6 +196,9 @@ struct SweepResult {
   // baseline-compared metric map.
   std::size_t trace_events = 0;
   std::uint64_t trace_dropped = 0;
+  // fig8 only: bare Fig. 8 under pre-GST loss with no ARQ. Informational
+  // (outside the baseline-compared map): the run may wedge without deciding.
+  Json bare_loss;
 };
 
 SweepResult run_sweep_point(const Options& o, std::size_t ell) {
@@ -275,10 +284,32 @@ SweepResult run_sweep_point(const Options& o, std::size_t ell) {
       p.net.pre_gst_loss = 0.2;
       p.net.pre_gst_max_delay = 6;
       p.seed = o.seed;
+      p.shards = o.shards;  // takes effect on the bare run only (no interposer)
+
+      // Ungated row: the loss hits bare Fig. 8 directly.
+      const hds::ConsensusRunResult bare = hds::run_fig8_full_stack(p);
+      Json b = Json::object();
+      b["decided"] = bare.all_correct_decided;
+      b["broadcasts"] = bare.broadcasts;
+      b["max_round"] = bare.max_round;
+      b["last_decision_time"] = bare.last_decision_time;
+      out.bare_loss = std::move(b);
+
+      // Gated run: the same 20% pre-GST loss, dropped below the ARQ
+      // emulator, which retransmits each lost copy (net/reliable.h).
+      hds::chaos::FaultPlan loss;
+      hds::chaos::FaultClause c;
+      c.kind = hds::chaos::ClauseKind::kLoss;
+      c.until = p.net.gst;
+      c.prob = p.net.pre_gst_loss;
+      loss.clauses.push_back(c);
+      hds::chaos::FaultInjector inj(std::move(loss), ids, o.seed);
+      hds::net::ReliableLinkEmulator arq(inj);
+      p.net.pre_gst_loss = 0;
+      p.link_interposer = &arq;  // forces one shard
       p.metrics = &reg;
       p.collect_qos = true;
       p.trace_capacity = std::size_t{1} << 14;
-      p.shards = o.shards;  // no observers on this run, so it takes effect
       r = hds::run_fig8_full_stack(p);
     } else {
       hds::Fig9FullStackParams p;
@@ -452,6 +483,7 @@ Json report_json(const Options& o, const std::vector<SweepResult>& sweeps,
     tr["events"] = Json(s.trace_events);
     tr["dropped"] = Json(s.trace_dropped);
     c["trace"] = std::move(tr);
+    if (!s.bare_loss.is_null()) c["fig8_bare_loss"] = s.bare_loss;
     cfgs.push_back(std::move(c));
   }
   out["configs"] = std::move(cfgs);
@@ -503,6 +535,13 @@ std::string markdown_report(const Options& o, const std::vector<SweepResult>& sw
     }
     md << "\n\nTrace: " << s.trace_events << " event(s) retained, " << s.trace_dropped
        << " evicted from the ring\n\n";
+    if (!s.bare_loss.is_null()) {
+      md << "Bare Fig. 8 under the same pre-GST loss, no ARQ (not gated): "
+         << (s.bare_loss.find("decided")->boolean() ? "decided" : "did NOT decide") << ", "
+         << static_cast<std::int64_t>(s.bare_loss.number_or("broadcasts", 0))
+         << " broadcasts, max round "
+         << static_cast<std::int64_t>(s.bare_loss.number_or("max_round", 0)) << "\n\n";
+    }
     if (s.smr.number_or("ops_total", 0) > 0) {
       md << "Replicated log (closed loop, crash-free fast path): "
          << static_cast<std::int64_t>(s.smr.number_or("ops_total", 0)) << " ops at "
