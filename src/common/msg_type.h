@@ -9,54 +9,49 @@
 // test/benchmark range sit at and above kFirstLocalTag, which the codec
 // registry refuses, and below the transport-control tags (>= 0xF0).
 //
-// Printable names exist only for export (trace records, metric labels, the
-// string-keyed broadcasts_by_type maps, the wire-fixture file names); they
-// live in kMsgTypeNames and nowhere else.
+// HDS_MSG_TYPES is the one table: enumerator, value and printable name.
+// Names are read only at export (trace records, metric labels, the
+// string-keyed broadcasts_by_type maps, the wire-fixture file names
+// tests/wire/tagNN_<NAME>.bin).
 #pragma once
 
-#include <array>
 #include <cstdint>
+
+#define HDS_MSG_TYPES(X)                                                     \
+  X(kAlive, 1, "ALIVE")              /* Fig. 3 */                            \
+  X(kApAlive, 2, "AP_ALIVE")         /* AP detector */                       \
+  X(kHeartbeat, 3, "HB")             /* HOmega heartbeats */                 \
+  X(kIdent, 4, "IDENT")              /* Fig. 5 */                            \
+  X(kPolling, 5, "POLLING")          /* Fig. 6 */                            \
+  X(kPollReply, 6, "P_REPLY")        /* Fig. 6 */                            \
+  X(kCoord, 7, "COORD")              /* Figs. 8 and 9 */                     \
+  X(kPh0, 8, "PH0")                  /* Figs. 8 and 9 */                     \
+  X(kPh1, 9, "PH1")                  /* Fig. 8 */                            \
+  X(kPh2, 10, "PH2")                 /* Fig. 8 */                            \
+  X(kDecide, 11, "DECIDE")           /* Figs. 8 and 9 */                     \
+  X(kPh1Q, 12, "PH1Q")               /* Fig. 9 */                            \
+  X(kPh2Q, 13, "PH2Q")               /* Fig. 9 */                            \
+  X(kSmrAppend, 14, "SMR_APPEND")    /* replicated log (src/smr/) */         \
+  X(kSmrAck, 15, "SMR_ACK")                                                  \
+  X(kSmrNewEpoch, 16, "SMR_NEW_EPOCH")                                       \
+  X(kSmrPromise, 17, "SMR_PROMISE")                                          \
+  X(kSmrPropose, 18, "SMR_PROPOSE")                                          \
+  X(kFloodEst, 0xD0, "FLOOD_EST")    /* local: Fig. 7 lock-step flooding */  \
+  X(kFloodDecide, 0xD1, "FLOOD_DEC") /* local */                             \
+  X(kSigIdent, 0xD2, "SIG_IDENT")    /* local: Sigma -> HSigma reduction */  \
+  X(kLabels, 0xD3, "LABELS")         /* local: HSigma -> Sigma reduction */  \
+  X(kTest0, 0xE0, "TEST0")           /* reserved for tests and benchmarks */ \
+  X(kTest1, 0xE1, "TEST1")                                                   \
+  X(kTest2, 0xE2, "TEST2")                                                   \
+  X(kTest3, 0xE3, "TEST3")
 
 namespace hds {
 
 enum class MsgType : std::uint8_t {
   kNone = 0,  // a default-constructed Message; has no name and no codec
-
-  // Wire kinds (v1 body tags).
-  kAlive = 1,         // Fig. 3
-  kApAlive = 2,       // AP detector
-  kHeartbeat = 3,     // HOmega heartbeats
-  kIdent = 4,         // Fig. 5
-  kPolling = 5,       // Fig. 6
-  kPollReply = 6,     // Fig. 6
-  kCoord = 7,         // Figs. 8 and 9
-  kPh0 = 8,           // Figs. 8 and 9
-  kPh1 = 9,           // Fig. 8
-  kPh2 = 10,          // Fig. 8
-  kDecide = 11,       // Figs. 8 and 9
-  kPh1Q = 12,         // Fig. 9
-  kPh2Q = 13,         // Fig. 9
-  kSmrAppend = 14,    // replicated log (src/smr/)
-  kSmrAck = 15,
-  kSmrNewEpoch = 16,
-  kSmrPromise = 17,
-  kSmrPropose = 18,
-
-  // Local kinds: never have a codec.
-  kFloodEst = 0xD0,  // Fig. 7 lock-step flooding
-  kFloodDecide = 0xD1,
-  kSigIdent = 0xD2,  // Sigma -> HSigma reduction
-  kLabels = 0xD3,    // HSigma -> Sigma reduction
-
-  // Reserved for tests and benchmarks: never have a codec.
-  kTest0 = 0xE0,
-  kTest1 = 0xE1,
-  kTest2 = 0xE2,
-  kTest3 = 0xE3,
-  kTest4 = 0xE4,
-  kTest5 = 0xE5,
-  kTest6 = 0xE6,
-  kTest7 = 0xE7,
+#define HDS_MSG_TYPE_ENUM(k, v, name) k = v,
+  HDS_MSG_TYPES(HDS_MSG_TYPE_ENUM)
+#undef HDS_MSG_TYPE_ENUM
 };
 
 // Kinds at or above this value never have a codec.
@@ -64,60 +59,29 @@ inline constexpr std::uint8_t kFirstLocalTag = 0xD0;
 
 [[nodiscard]] constexpr std::uint8_t tag_of(MsgType t) { return static_cast<std::uint8_t>(t); }
 
+// Printable name of a kind; "" for a value with no table row (kNone, a
+// transport-control tag).
+[[nodiscard]] constexpr const char* type_name(MsgType t) {
+  switch (t) {
+#define HDS_MSG_TYPE_CASE(k, v, name) \
+  case MsgType::k:                    \
+    return name;
+    HDS_MSG_TYPES(HDS_MSG_TYPE_CASE)
+#undef HDS_MSG_TYPE_CASE
+    default:
+      return "";
+  }
+}
+
+// Every named kind with its name, in table order (tests iterate it).
 struct MsgTypeName {
   MsgType type;
   const char* name;
 };
-
-// The one name table. Wire kinds' names are also their fixture file names
-// (tests/wire/tagNN_<NAME>.bin).
 inline constexpr MsgTypeName kMsgTypeNames[] = {
-    {MsgType::kAlive, "ALIVE"},
-    {MsgType::kApAlive, "AP_ALIVE"},
-    {MsgType::kHeartbeat, "HB"},
-    {MsgType::kIdent, "IDENT"},
-    {MsgType::kPolling, "POLLING"},
-    {MsgType::kPollReply, "P_REPLY"},
-    {MsgType::kCoord, "COORD"},
-    {MsgType::kPh0, "PH0"},
-    {MsgType::kPh1, "PH1"},
-    {MsgType::kPh2, "PH2"},
-    {MsgType::kDecide, "DECIDE"},
-    {MsgType::kPh1Q, "PH1Q"},
-    {MsgType::kPh2Q, "PH2Q"},
-    {MsgType::kSmrAppend, "SMR_APPEND"},
-    {MsgType::kSmrAck, "SMR_ACK"},
-    {MsgType::kSmrNewEpoch, "SMR_NEW_EPOCH"},
-    {MsgType::kSmrPromise, "SMR_PROMISE"},
-    {MsgType::kSmrPropose, "SMR_PROPOSE"},
-    {MsgType::kFloodEst, "FLOOD_EST"},
-    {MsgType::kFloodDecide, "FLOOD_DEC"},
-    {MsgType::kSigIdent, "SIG_IDENT"},
-    {MsgType::kLabels, "LABELS"},
-    {MsgType::kTest0, "TEST0"},
-    {MsgType::kTest1, "TEST1"},
-    {MsgType::kTest2, "TEST2"},
-    {MsgType::kTest3, "TEST3"},
-    {MsgType::kTest4, "TEST4"},
-    {MsgType::kTest5, "TEST5"},
-    {MsgType::kTest6, "TEST6"},
-    {MsgType::kTest7, "TEST7"},
+#define HDS_MSG_TYPE_ROW(k, v, name) {MsgType::k, name},
+    HDS_MSG_TYPES(HDS_MSG_TYPE_ROW)
+#undef HDS_MSG_TYPE_ROW
 };
-
-namespace detail {
-constexpr std::array<const char*, 256> names_by_tag() {
-  std::array<const char*, 256> out{};
-  for (const MsgTypeName& e : kMsgTypeNames) out[tag_of(e.type)] = e.name;
-  return out;
-}
-inline constexpr std::array<const char*, 256> kNameByTag = names_by_tag();
-}  // namespace detail
-
-// Printable name of a kind; "" for a value with no table entry (kNone, a
-// transport-control tag).
-[[nodiscard]] constexpr const char* type_name(MsgType t) {
-  const char* n = detail::kNameByTag[tag_of(t)];
-  return n == nullptr ? "" : n;
-}
 
 }  // namespace hds

@@ -167,23 +167,16 @@ Message decode_frame(const CodecRegistry& reg, const std::uint8_t* data, std::si
   return m;
 }
 
-std::size_t frame_overhead(ProcIndex sender_index, Id sender_id) {
-  // magic(2) + version + tag + the sender varints + the trailing checksum.
-  return 4 + varint_size(sender_index) + varint_size(sender_id) + 4;
-}
-
-std::size_t encoded_body_size(const BodyCodec& c, const Message& m) {
-  WireWriter w{WireWriter::CountOnly{}};
-  c.encode(m.body, w);
-  return w.size();
-}
-
 std::optional<std::size_t> encoded_frame_size(const CodecRegistry& reg, const Message& m,
                                               ProcIndex sender_index, Id sender_id) {
   const BodyCodec* c = reg.by_tag(tag_of(m.type));
   if (c == nullptr) return std::nullopt;
-  const std::size_t body = encoded_body_size(*c, m);
-  return frame_overhead(sender_index, sender_id) + varint_size(body) + body;
+  WireWriter body{WireWriter::CountOnly{}};
+  c->encode(m.body, body);
+  // magic(2) + version + tag + the sender varints + body length + body +
+  // the trailing checksum.
+  return 4 + varint_size(sender_index) + varint_size(sender_id) + varint_size(body.size()) +
+         body.size() + 4;
 }
 
 // ------------------------------------------------------------- batching

@@ -124,7 +124,8 @@ std::vector<std::uint8_t> encode_frame(const CodecRegistry& reg, const Message& 
 
 // Inverse. Validates magic, version, tag, length, and checksum; fills
 // meta_sender from the header and meta_causal_* from the trace-context
-// extension when present. Throws CodecError on any malformation.
+// extension when present. A control frame decodes to a bodiless Message
+// whose type carries the control tag. Throws CodecError on any malformation.
 Message decode_frame(const CodecRegistry& reg, const std::uint8_t* data, std::size_t len);
 
 // A control frame (tag >= kCtrlTagFirst) with an empty body.
@@ -158,12 +159,6 @@ std::optional<std::uint8_t> peek_tag(const std::uint8_t* data, std::size_t len);
 // so byte accounting stays identical with tracing on or off.
 std::optional<std::size_t> encoded_frame_size(const CodecRegistry& reg, const Message& m,
                                               ProcIndex sender_index, Id sender_id);
-
-// Decomposed pieces of encoded_frame_size, for byte meters that memoize the
-// per-sender envelope (the simulator):
-// frame size = frame_overhead + varint_size(body) + body.
-std::size_t frame_overhead(ProcIndex sender_index, Id sender_id);
-std::size_t encoded_body_size(const BodyCodec& c, const Message& m);
 
 // ------------------------------------------------------------- batching
 

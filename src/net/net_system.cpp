@@ -605,8 +605,8 @@ void NetSystem::handle_frame(const std::uint8_t* data, std::size_t len) {
     return;
   }
   const ProcIndex from = m.meta_sender;
-  const auto tag = peek_tag(data, len);
-  if (tag && *tag >= kCtrlTagFirst) {
+  const std::uint8_t tag = tag_of(m.type);  // decode_frame carries control tags too
+  if (tag >= kCtrlTagFirst) {
     if (from >= peers_.size()) {
       std::lock_guard lk(stats_mu_);
       ++stats_.decode_errors;
@@ -618,7 +618,7 @@ void NetSystem::handle_frame(const std::uint8_t* data, std::size_t len) {
       heard_from_[from] = true;
     }
     peers_cv_.notify_all();
-    switch (*tag) {
+    switch (tag) {
       case kTagHello:
         send_control(kTagHelloAck, from);
         break;
@@ -645,7 +645,7 @@ void NetSystem::handle_frame(const std::uint8_t* data, std::size_t len) {
           // incarnation never acked.
           dispatch_rel_sends(rel_->note_peer_epoch(from, *peer_epoch, Clock::now()));
         }
-        if (*tag == kTagRejoin) send_control(kTagRejoinAck, from, rejoin_body(epoch_num_));
+        if (tag == kTagRejoin) send_control(kTagRejoinAck, from, rejoin_body(epoch_num_));
         break;
       }
       default:

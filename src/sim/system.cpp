@@ -114,10 +114,6 @@ System::System(SystemConfig cfg)
     }
     pool_ = std::make_unique<exp::ShardPool>(shards_);
   }
-  frame_overhead_by_sender_.reserve(n);
-  for (ProcIndex i = 0; i < n; ++i) {
-    frame_overhead_by_sender_.push_back(net::frame_overhead(i, ids_[i]));
-  }
   for (std::size_t s = 0; s < shards_; ++s) {
     ShardState& sh = *shards_vec_[s];
     sh.sink.set_buffered(shards_ > 1);
@@ -130,15 +126,11 @@ System::System(SystemConfig cfg)
     sh.net->set_causal(trace_.enabled() ? &sessions_ : nullptr);
     // Byte accounting: estimate each broadcast's frame size with the v1 wire
     // codec, so sim runs report costs comparable with the socket substrate.
-    // The per-sender envelope is memoized and the codec is an array index
-    // on the tag; only the body is counting-encoded per broadcast, so sizes
-    // stay exact even for bodies whose varint-encoded length varies.
+    // The codec is an array index on the tag and the body is counted, not
+    // materialized; kinds without a codec meter 0.
     sh.net->set_byte_meter([this](const Message& m, ProcIndex from) -> std::size_t {
       HDS_PROF_SCOPE(obs::ProfSubsystem::kCodecEncode);
-      const net::BodyCodec* c = net::builtin_codecs().by_tag(tag_of(m.type));
-      if (c == nullptr) return 0;
-      const std::size_t body = net::encoded_body_size(*c, m);
-      return frame_overhead_by_sender_[from] + net::varint_size(body) + body;
+      return net::encoded_frame_size(net::builtin_codecs(), m, from, ids_[from]).value_or(0);
     });
     if (shards_ > 1) {
       sh.net->set_cross_send(

@@ -181,7 +181,6 @@ class System {
   std::vector<std::uint64_t> bcast_seq_;
   std::vector<obs::CausalSession> sessions_;
   obs::CausalSession causal_obs_;  // current-dispatch mirror for monitors
-  std::vector<std::size_t> frame_overhead_by_sender_;
   TraceLog trace_{0};
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* m_timer_fires_ = nullptr;

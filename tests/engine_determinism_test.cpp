@@ -184,7 +184,7 @@ TEST(GoldenTrace, SystemRunIsByteIdenticalAcrossQueueBackends) {
   EXPECT_EQ(cal.stats.latency_sum, heap.stats.latency_sum);
   EXPECT_EQ(cal.stats.broadcasts_by_type, heap.stats.broadcasts_by_type);
   ASSERT_GT(cal.stats.copies_delivered, 0u);
-  ASSERT_GT(cal.stats.bytes_sent, 0u);  // the memoized byte meter metered
+  ASSERT_GT(cal.stats.bytes_sent, 0u);  // the byte meter metered
 }
 
 TEST(GoldenTrace, CausalTracingOnOffLeavesScheduleMetricsAndStatsIdentical) {
@@ -232,7 +232,7 @@ TEST(GoldenTrace, Fig6QosJsonIsIdenticalWithTracingOnOrOff) {
 
 TEST(GoldenTrace, MemoizedByteMeterMatchesFullCodecComputation) {
   // One ALIVE broadcast from process 0 reaches all 3 peers with no loss;
-  // bytes_sent must be exactly 3 full v1 frames as the unmemoized
+  // bytes_sent must be exactly 3 full v1 frames as the per-call
   // encoded_frame_size computes them.
   struct OneShot final : Process {
     void on_start(Env& env) override {
