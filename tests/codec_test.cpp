@@ -277,7 +277,7 @@ TEST(Codec, UnregisteredMessageTypeIsReportedNotEncoded) {
 
 // ------------------------------------------------------------ tag table
 
-TEST(MsgTypeTable, EveryKindHasAUniqueNonEmptyName) {
+TEST(Codec, EveryMsgTypeHasAUniqueNonEmptyName) {
   std::set<std::string> names;
   std::set<std::uint8_t> tags;
   for (const MsgTypeName& e : kMsgTypeNames) {
@@ -292,7 +292,7 @@ TEST(MsgTypeTable, EveryKindHasAUniqueNonEmptyName) {
   EXPECT_EQ(std::string(type_name(MsgType{kTagRelAck})), "");
 }
 
-TEST(MsgTypeTable, EveryKindBelowTheLocalRangeHasACodecAndNoneAbove) {
+TEST(Codec, WireKindsHaveCodecsAndLocalKindsNone) {
   for (const MsgTypeName& e : kMsgTypeNames) {
     const bool wire = tag_of(e.type) < kFirstLocalTag;
     EXPECT_EQ(builtin_codecs().by_tag(tag_of(e.type)) != nullptr, wire) << e.name;
@@ -303,7 +303,7 @@ TEST(MsgTypeTable, EveryKindBelowTheLocalRangeHasACodecAndNoneAbove) {
   }
 }
 
-TEST(MsgTypeTable, RegistryRefusesLocalAndControlRangeTags) {
+TEST(Codec, RegistryRefusesLocalAndControlRangeTags) {
   CodecRegistry reg;
   BodyCodec local;
   local.tag = tag_of(MsgType::kFloodEst);
@@ -346,7 +346,7 @@ std::uint64_t sim_metered_bytes(MsgType t) {
   return st.bytes_sent;
 }
 
-TEST(MsgTypeTable, CodecLessKindsThrowOnEncodeAndMeterZeroBytesInTheSim) {
+TEST(Codec, CodecLessKindsThrowOnEncodeAndMeterZeroBytesInTheSim) {
   for (const MsgTypeName& e : kMsgTypeNames) {
     if (tag_of(e.type) < kFirstLocalTag) continue;
     const Message m = make_message(e.type, AliveMsg{1});
