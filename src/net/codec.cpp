@@ -12,8 +12,8 @@ std::uint32_t fnv1a(const std::uint8_t* data, std::size_t len) {
 }
 
 void CodecRegistry::add(BodyCodec c) {
-  if (c.tag >= kCtrlTagFirst) throw std::logic_error("codec tag in control range");
-  if (c.tag >= kFirstLocalTag) throw std::logic_error("codec tag in local-kind range");
+  static_assert(kFirstLocalTag < kCtrlTagFirst, "one bound covers both reserved ranges");
+  if (c.tag >= kFirstLocalTag) throw std::logic_error("codec tag in local or control range");
   if (slot_[c.tag] != 0) throw std::logic_error("duplicate codec tag " + std::to_string(c.tag));
   const std::uint8_t tag = c.tag;
   codecs_.push_back(std::move(c));
