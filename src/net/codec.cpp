@@ -31,26 +31,47 @@ std::vector<const BodyCodec*> CodecRegistry::all() const {
 
 namespace {
 
-std::vector<std::uint8_t> finish_frame(std::uint8_t tag, ProcIndex sender_index, Id sender_id,
-                                       const std::vector<std::uint8_t>& body,
-                                       const Message* traced = nullptr) {
+// Encoded size of a frame with a `body_len`-byte body; `traced`, when
+// non-null, carries the causal context the frame's extension encodes.
+std::size_t frame_size(ProcIndex sender_index, Id sender_id, std::size_t body_len,
+                       const Message* traced) {
+  // magic(2) + version + tag + the sender varints + body length + body +
+  // the trailing checksum.
+  std::size_t n = 4 + varint_size(sender_index) + varint_size(sender_id) +
+                  varint_size(body_len) + body_len + 4;
+  if (traced != nullptr) {
+    n += varint_size(traced->meta_causal_id) + varint_size(traced->meta_causal_parent) +
+         varint_size(traced->meta_causal_clock);
+  }
+  return n;
+}
+
+// Writes header, body and checksum into one buffer reserved at the frame's
+// exact size. `write_body` must append exactly `body_len` bytes.
+template <typename WriteBody>
+std::vector<std::uint8_t> build_frame(std::uint8_t tag, ProcIndex sender_index, Id sender_id,
+                                      std::size_t body_len, WriteBody&& write_body,
+                                      const Message* traced = nullptr) {
+  const std::size_t size = frame_size(sender_index, sender_id, body_len, traced);
   WireWriter w;
+  w.reserve(size);
   w.u8(kWireMagic0);
   w.u8(kWireMagic1);
-  const bool tracing = traced != nullptr && traced->meta_causal_id != 0;
-  w.u8(tracing ? static_cast<std::uint8_t>(kWireVersion | kWireTracedFlag) : kWireVersion);
+  w.u8(traced != nullptr ? static_cast<std::uint8_t>(kWireVersion | kWireTracedFlag)
+                         : kWireVersion);
   w.u8(tag);
   w.varint(sender_index);
   w.varint(sender_id);
-  if (tracing) {
+  if (traced != nullptr) {
     w.varint(traced->meta_causal_id);
     w.varint(traced->meta_causal_parent);
     w.varint(traced->meta_causal_clock);
   }
-  w.varint(body.size());
-  w.bytes(body.data(), body.size());
+  w.varint(body_len);
+  write_body(w);
   const std::uint32_t sum = fnv1a(w.data().data(), w.size());
   w.u32_fixed(sum);
+  if (w.size() != size) throw std::logic_error("body codec wrote a size it did not count");
   return w.take();
 }
 
@@ -63,22 +84,25 @@ std::vector<std::uint8_t> encode_frame(const CodecRegistry& reg, const Message& 
     throw CodecError("no codec registered for type " + std::to_string(tag_of(m.type)) + " " +
                      type_name(m.type));
   }
-  WireWriter body;
-  c->encode(m.body, body);
-  return finish_frame(c->tag, sender_index, sender_id, body.data(), &m);
+  // Count, then encode into the exactly sized frame.
+  WireWriter counted{WireWriter::CountOnly{}};
+  c->encode(m.body, counted);
+  return build_frame(
+      c->tag, sender_index, sender_id, counted.size(),
+      [&](WireWriter& w) { c->encode(m.body, w); }, m.meta_causal_id != 0 ? &m : nullptr);
 }
 
 std::vector<std::uint8_t> encode_control_frame(std::uint8_t tag, ProcIndex sender_index,
                                                Id sender_id) {
-  if (tag < kCtrlTagFirst) throw std::logic_error("control frame with codec-range tag");
-  return finish_frame(tag, sender_index, sender_id, {});
+  return encode_control_frame(tag, sender_index, sender_id, {});
 }
 
 std::vector<std::uint8_t> encode_control_frame(std::uint8_t tag, ProcIndex sender_index,
                                                Id sender_id,
                                                const std::vector<std::uint8_t>& body) {
   if (tag < kCtrlTagFirst) throw std::logic_error("control frame with codec-range tag");
-  return finish_frame(tag, sender_index, sender_id, body);
+  return build_frame(tag, sender_index, sender_id, body.size(),
+                     [&](WireWriter& w) { w.bytes(body.data(), body.size()); });
 }
 
 std::optional<ControlBody> peek_control_body(const std::uint8_t* data, std::size_t len) {
@@ -173,40 +197,31 @@ std::optional<std::size_t> encoded_frame_size(const CodecRegistry& reg, const Me
   if (c == nullptr) return std::nullopt;
   WireWriter body{WireWriter::CountOnly{}};
   c->encode(m.body, body);
-  // magic(2) + version + tag + the sender varints + body length + body +
-  // the trailing checksum.
-  return 4 + varint_size(sender_index) + varint_size(sender_id) + varint_size(body.size()) +
-         body.size() + 4;
+  return frame_size(sender_index, sender_id, body.size(), nullptr);
 }
 
 // ------------------------------------------------------------- batching
 
 void BatchWriter::add(const std::vector<std::uint8_t>& frame) {
-  WireWriter w;
-  w.varint(frame.size());
-  w.bytes(frame.data(), frame.size());
-  const auto& piece = w.data();
-  frames_bytes_.insert(frames_bytes_.end(), piece.begin(), piece.end());
+  frames_.varint(frame.size());
+  frames_.bytes(frame.data(), frame.size());
   ++count_;
 }
 
 std::size_t BatchWriter::wire_size() const {
-  WireWriter header;
-  header.u8(kWireMagic0);
-  header.u8(kBatchMagic1);
-  header.u8(kWireVersion);
-  header.varint(count_);
-  return header.size() + frames_bytes_.size();
+  // magic(2) + version + frame count + the length-prefixed frames.
+  return 3 + varint_size(count_) + frames_.size();
 }
 
 std::vector<std::uint8_t> BatchWriter::take() {
   WireWriter w;
+  w.reserve(wire_size());
   w.u8(kWireMagic0);
   w.u8(kBatchMagic1);
   w.u8(kWireVersion);
   w.varint(count_);
-  w.bytes(frames_bytes_.data(), frames_bytes_.size());
-  frames_bytes_.clear();
+  w.bytes(frames_.data().data(), frames_.size());
+  frames_.clear();
   count_ = 0;
   return w.take();
 }

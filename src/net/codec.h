@@ -174,7 +174,7 @@ class BatchWriter {
   std::vector<std::uint8_t> take();
 
  private:
-  std::vector<std::uint8_t> frames_bytes_;  // already length-prefixed
+  WireWriter frames_;  // already length-prefixed; keeps its capacity across take()
   std::size_t count_ = 0;
 };
 

@@ -37,6 +37,9 @@ std::vector<std::uint8_t> rel_wrap(const std::vector<std::uint8_t>& inner, const
   }
   const std::size_t split = body_len_offset(inner.data(), inner.size());
   WireWriter w;
+  w.reserve(inner.size() + varint_size(h.epoch) + varint_size(h.seq) +
+            varint_size(h.lost_floor) + varint_size(h.ack_epoch) + varint_size(h.ack_cum) +
+            varint_size(h.ack_bits));
   w.u8(inner[0]);
   w.u8(inner[1]);
   w.u8(static_cast<std::uint8_t>(inner[2] | kWireRelFlag));
@@ -80,6 +83,7 @@ std::optional<RelHeader> rel_peek(const std::uint8_t* data, std::size_t len) {
 
 std::vector<std::uint8_t> rel_ack_body(const RelAckBody& b) {
   WireWriter w;
+  w.reserve(varint_size(b.ack_epoch) + varint_size(b.ack_cum) + varint_size(b.ack_bits));
   w.varint(b.ack_epoch);
   w.varint(b.ack_cum);
   w.varint(b.ack_bits);
@@ -102,6 +106,7 @@ std::optional<RelAckBody> parse_rel_ack_body(const std::uint8_t* data, std::size
 
 std::vector<std::uint8_t> rejoin_body(std::uint64_t epoch) {
   WireWriter w;
+  w.reserve(varint_size(epoch));
   w.varint(epoch);
   return w.take();
 }
@@ -157,11 +162,11 @@ SimTime ReliableChannel::current_rto(const SendLink& s) const {
 }
 
 std::uint64_t ReliableChannel::ack_bits_of(const RecvLink& r) {
+  // Only cum+1 .. cum+64 fit the bitmap, so the ordered walk stops at the
+  // first parked frame past it; the reorder buffer may hold far more.
   std::uint64_t bits = 0;
-  for (auto it = r.ooo.begin(); it != r.ooo.end(); ++it) {
-    const std::uint64_t off = it->first - r.cum;  // >= 1 by invariant
-    if (off == 0 || off > 64) continue;
-    bits |= std::uint64_t{1} << (off - 1);
+  for (auto it = r.ooo.upper_bound(r.cum); it != r.ooo.end() && it->first - r.cum <= 64; ++it) {
+    bits |= std::uint64_t{1} << (it->first - r.cum - 1);
   }
   return bits;
 }

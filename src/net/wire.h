@@ -1,4 +1,4 @@
-// Wire-level primitives for the v1 binary codec: a growable byte writer and
+// Wire-level primitives for the v1 binary codec: a byte writer and
 // a bounds-checked reader over varints (LEB128), zigzag-signed integers,
 // length-prefixed strings, and little-endian fixed words, plus the FNV-1a
 // checksum the frame format carries.
@@ -47,6 +47,12 @@ class WireWriter {
 
   WireWriter() = default;
   explicit WireWriter(CountOnly) : counting_(true) {}
+
+  // Sizes the buffer once for a write whose length is known up front (the
+  // frame builders measure first, so no send-path buffer ever regrows).
+  void reserve(std::size_t n) {
+    if (!counting_) buf_.reserve(n);
+  }
 
   void u8(std::uint8_t v) {
     if (counting_) {
@@ -105,6 +111,11 @@ class WireWriter {
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
   [[nodiscard]] std::size_t size() const { return counting_ ? count_ : buf_.size(); }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
+  // Empties the writer but keeps its capacity for the next use.
+  void clear() {
+    buf_.clear();
+    count_ = 0;
+  }
 
  private:
   std::vector<std::uint8_t> buf_;

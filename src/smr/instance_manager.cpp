@@ -1,5 +1,6 @@
 #include "smr/instance_manager.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace hds::smr {
@@ -40,19 +41,21 @@ bool InstanceManager::buffer_message(std::int64_t s, const Message& m) {
 
 std::size_t InstanceManager::gc(std::int64_t frontier, std::int64_t keep) {
   std::size_t erased = 0;
-  for (auto it = slots_.begin(); it != slots_.end() && it->first <= frontier;) {
+  for (auto it = slots_.begin(); it != slots_.end() && it->first <= frontier - keep;) {
+    it = slots_.erase(it);
+    ++erased;
+  }
+  records_gced_ += erased;
+  // Slots at or below dropped_through_ hold no engine or buffer (see the
+  // invariant in the header), so only the newly covered ones are visited.
+  for (auto it = slots_.upper_bound(dropped_through_); it != slots_.end() && it->first <= frontier;
+       ++it) {
     Slot& rec = it->second;
     rec.engine.reset();
     rec.buffered.clear();
     rec.buffered.shrink_to_fit();
-    if (it->first <= frontier - keep) {
-      it = slots_.erase(it);
-      ++erased;
-      ++records_gced_;
-    } else {
-      ++it;
-    }
   }
+  dropped_through_ = std::max(dropped_through_, frontier);
   return erased;
 }
 

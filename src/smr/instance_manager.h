@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -73,10 +74,16 @@ class InstanceManager {
   // slot already committed — a late message for a settled slot is noise.
   bool buffer_message(std::int64_t s, const Message& m);
 
-  // Drops engines of slots at or below `frontier` (their outcome is fixed)
-  // and erases records at or below `frontier - keep` (past the repair
-  // window). Never touches a slot above the frontier. Returns the number of
-  // records erased.
+  // Drops engines and buffers of slots at or below `frontier` (their
+  // outcome is fixed) and erases records at or below `frontier - keep` (past
+  // the repair window). Never touches a slot above the frontier. Returns the
+  // number of records erased.
+  //
+  // Cost is the slots newly covered since the last call, not the retained
+  // log: engines and buffers are dropped only in (previous frontier,
+  // frontier]. That relies on the caller never creating an engine or a
+  // buffer at or below a frontier it has passed — SmrReplica passes its
+  // applied frontier and guards every creation by it.
   std::size_t gc(std::int64_t frontier, std::int64_t keep);
 
   // Slots above `frontier` holding an entry or an engine — the leader's
@@ -98,6 +105,8 @@ class InstanceManager {
   std::map<std::int64_t, Slot> slots_;
   std::uint64_t engines_created_ = 0;
   std::uint64_t records_gced_ = 0;
+  // Highest frontier gc() has dropped engines and buffers through.
+  std::int64_t dropped_through_ = std::numeric_limits<std::int64_t>::min();
 };
 
 }  // namespace hds::smr

@@ -631,6 +631,8 @@ void SmrReplica::collect_garbage(SimTime now) {
     if (cfg_.peer_stale > 0 && now - p.heard_at > cfg_.peer_stale) continue;
     learned = std::min(learned, p.applied_through);
   }
+  // gc() visits only newly applied slots: every engine and buffer creation
+  // above (get_or_create, buffer_message) is guarded by applied_through_.
   const std::int64_t keep = (applied_through_ - learned) + cfg_.gc_keep;
   const std::size_t erased = im_.gc(applied_through_, keep);
   if (erased > 0) obs::inc(m_instances_gced_, erased);

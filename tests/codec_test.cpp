@@ -19,6 +19,7 @@
 #include "fd/impl/homega_heartbeat.h"
 #include "fd/impl/hsigma_sync.h"
 #include "fd/impl/ohp_polling.h"
+#include "net/reliable.h"
 #include "net/wire.h"
 #include "sim/system.h"
 #include "smr/types.h"
@@ -505,6 +506,49 @@ TEST(Codec, EverySingleByteCorruptionOfATracedFrameIsRejected) {
   }
 }
 
+// ------------------------------------------------ send-path allocation
+
+// Every send-path buffer is reserved at its final size before it is
+// written, so it is allocated once and never regrown: the capacity the
+// caller receives is exactly the frame's length.
+TEST(Codec, FramesAreAllocatedAtTheirExactSize) {
+  Rng rng(11);
+  for (const BodyCodec* c : builtin_codecs().all()) {
+    Message m = random_body(type_of(*c), rng);
+    const auto plain = encode_frame(builtin_codecs(), m, 3, 300);
+    EXPECT_EQ(plain.capacity(), plain.size()) << type_name(type_of(*c));
+    m.meta_causal_id = (std::uint64_t{3} << 48) | 170739;
+    m.meta_causal_parent = 5;
+    m.meta_causal_clock = 99'999;
+    const auto traced = encode_frame(builtin_codecs(), m, 3, 300);
+    EXPECT_EQ(traced.capacity(), traced.size()) << type_name(type_of(*c));
+
+    RelHeader h;
+    h.epoch = 2;
+    h.seq = 1'000'000;
+    h.ack_cum = 130;
+    h.ack_bits = ~0ull;
+    for (const auto& inner : {plain, traced}) {
+      const auto wrapped = rel_wrap(inner, h);
+      EXPECT_EQ(wrapped.capacity(), wrapped.size()) << type_name(type_of(*c));
+    }
+  }
+
+  const auto hello = encode_control_frame(kTagHello, 1, 17);
+  EXPECT_EQ(hello.capacity(), hello.size());
+  const auto ack_body = rel_ack_body(RelAckBody{4, 1u << 20, 0b1011});
+  EXPECT_EQ(ack_body.capacity(), ack_body.size());
+  const auto ack = encode_control_frame(kTagRelAck, 1, 17, ack_body);
+  EXPECT_EQ(ack.capacity(), ack.size());
+  const auto rejoin = rejoin_body(1'234'567);
+  EXPECT_EQ(rejoin.capacity(), rejoin.size());
+
+  BatchWriter w;
+  for (int i = 0; i < 40; ++i) w.add(i % 2 == 0 ? hello : ack);
+  const auto datagram = w.take();
+  EXPECT_EQ(datagram.capacity(), datagram.size());
+}
+
 // ------------------------------------------------------- batch envelope
 
 TEST(Batch, RoundTripsMultipleFrames) {
@@ -527,6 +571,23 @@ TEST(Batch, RoundTripsMultipleFrames) {
     EXPECT_EQ(std::vector<std::uint8_t>(views[i].data, views[i].data + views[i].len), frames[i]);
     // Each frame still decodes independently out of the batch.
     EXPECT_NO_THROW((void)decode_frame(builtin_codecs(), views[i].data, views[i].len));
+  }
+}
+
+// wire_size() is computed without building the envelope; it must agree
+// with take() on both sides of the one-to-two-byte frame-count varint.
+TEST(Batch, WireSizeMatchesTakeAcrossTheCountVarintBoundary) {
+  const auto frame = sample_frame();
+  BatchWriter w;
+  for (const std::size_t count : {0, 1, 127, 128, 129, 300}) {
+    for (std::size_t i = 0; i < count; ++i) w.add(frame);
+    const std::size_t predicted = w.wire_size();
+    const auto datagram = w.take();
+    EXPECT_EQ(predicted, datagram.size()) << "count=" << count;
+    EXPECT_EQ(w.wire_size(), 4u) << "count=" << count;  // reset: header with a zero count
+    if (count == 0) continue;
+    const auto views = split_batch(datagram.data(), datagram.size());
+    EXPECT_EQ(views.size(), count);
   }
 }
 

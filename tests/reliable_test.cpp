@@ -282,6 +282,34 @@ TEST(RelChannel, SackReportedHoleIsRetransmittedBeforeItsRto) {
   EXPECT_EQ(delivered_shallow, 0u);
 }
 
+// The piggybacked selective ack covers cum+1 .. cum+64 only: frames parked
+// further ahead set no bit (and the bitmap walk stops at the first of them).
+TEST(RelChannel, AckBitmapCoversOnlyTheNext64Seqs) {
+  RelConfig cfg;
+  cfg.enabled = true;
+  ReliableChannel b(cfg, 1, 22, 2, 0, nullptr);
+  const auto data = [](std::uint64_t seq) {
+    RelHeader h;
+    h.seq = seq;
+    return rel_wrap(frame_of(poll(static_cast<Round>(seq), 11), 0, 11), h);
+  };
+  ASSERT_EQ(receive(b, 0, data(1), at(0)).size(), 1u);  // cum = 1
+  const std::uint64_t cum = 1;
+  const std::vector<std::uint64_t> parked = {cum + 2, cum + 64, cum + 65, cum + 200};
+  for (const std::uint64_t seq : parked) EXPECT_TRUE(receive(b, 0, data(seq), at(1)).empty());
+
+  const auto reverse = b.wrap_data(0, MsgType::kPolling, frame_of(poll(1, 22), 1, 22), at(2));
+  const auto h = rel_peek(reverse.data(), reverse.size());
+  ASSERT_TRUE(h.has_value());
+  EXPECT_EQ(h->ack_cum, cum);
+  EXPECT_EQ(h->ack_bits, (std::uint64_t{1} << 1) | (std::uint64_t{1} << 63));
+  std::uint64_t brute = 0;
+  for (const std::uint64_t seq : parked) {
+    if (seq - cum >= 1 && seq - cum <= 64) brute |= std::uint64_t{1} << (seq - cum - 1);
+  }
+  EXPECT_EQ(h->ack_bits, brute);
+}
+
 // Crash-restart: the peer's new incarnation must receive what its
 // predecessor never acknowledged (re-queued under fresh sequence numbers),
 // and frames from the dead incarnation must be discarded, not delivered.

@@ -186,6 +186,40 @@ TEST(SmrInstanceManager, GcNeverDropsUndecidedSlotsAboveFrontier) {
   EXPECT_EQ(im.gc(6, 2), 0u);
 }
 
+TEST(SmrInstanceManager, AdvancingTheFrontierDropsOnlyNewlyCoveredEngines) {
+  InstanceManager im(im_cfg());
+  FixedHOmega fd(kBottomId, 0);
+  FakeEnv env(1);
+
+  for (std::int64_t s = 1; s <= 8; ++s) im.get_or_create(s, 1, fd, env);
+  EXPECT_TRUE(im.buffer_message(9, make_message(MsgType::kPh1, 0)));
+
+  // A wide repair window: no record is erased, only engines are dropped.
+  EXPECT_EQ(im.gc(3, 100), 0u);
+  for (std::int64_t s = 1; s <= 3; ++s) EXPECT_EQ(im.slot(s).engine, nullptr) << s;
+  for (std::int64_t s = 4; s <= 8; ++s) EXPECT_NE(im.slot(s).engine, nullptr) << s;
+
+  // The frontier advances: slots 4..6 are newly covered, 7..9 untouched.
+  EXPECT_EQ(im.gc(6, 100), 0u);
+  for (std::int64_t s = 4; s <= 6; ++s) EXPECT_EQ(im.slot(s).engine, nullptr) << s;
+  EXPECT_NE(im.slot(7).engine, nullptr);
+  EXPECT_NE(im.slot(8).engine, nullptr);
+  EXPECT_EQ(im.slot(9).buffered.size(), 1u);
+
+  // Records still leave from the front once the window narrows.
+  EXPECT_EQ(im.gc(6, 4), 2u);
+  EXPECT_FALSE(im.contains(1));
+  EXPECT_FALSE(im.contains(2));
+  EXPECT_TRUE(im.contains(3));
+  EXPECT_EQ(im.size(), 7u);
+
+  // Covering the rest drops the last engines and the buffer.
+  EXPECT_EQ(im.gc(9, 100), 0u);
+  EXPECT_EQ(im.slot(7).engine, nullptr);
+  EXPECT_EQ(im.slot(8).engine, nullptr);
+  EXPECT_TRUE(im.slot(9).buffered.empty());
+}
+
 // ---------------------------------------------------------------- workload
 
 TEST(SmrWorkload, ClosedLoopKeepsOneOpOutstanding) {
