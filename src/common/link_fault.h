@@ -9,9 +9,9 @@
 // — this header exists so neither substrate depends on it.
 //
 // Call context: the simulator calls from the event loop (single-threaded);
-// NetSystem calls from its node thread (broadcasts) and, with reliability
-// on, from its ARQ thread (retransmissions), and an in-process cluster may
-// share one interposer across nodes. Implementations must synchronize
+// NetSystem calls from each node's event-loop thread (broadcasts and, with
+// reliability on, retransmissions), and an in-process cluster may share
+// one interposer across nodes. Implementations must synchronize
 // internally and be deterministic as a function of (seed, call order) so
 // failing runs replay exactly.
 #pragma once

@@ -165,7 +165,6 @@ Fig6Result run_fig6(const Fig6Params& p) {
   cfg.crashes = p.crashes;
   cfg.seed = p.seed;
   cfg.metrics = p.metrics;
-  cfg.queue = p.queue;
   cfg.shards = effective_shards(p.shards, p.monitor, p.window_qos, p.chaos);
   cfg.trace_capacity = p.trace_capacity;
   System sys(std::move(cfg));
@@ -520,7 +519,6 @@ ConsensusRunResult run_fig8_full_stack(const Fig8FullStackParams& p) {
   cfg.seed = p.seed;
   cfg.trace_capacity = p.trace_capacity;
   cfg.metrics = p.metrics;
-  cfg.queue = p.queue;
   cfg.shards = effective_shards(p.shards, p.monitor, p.window_qos, p.chaos, p.link_interposer);
   System sys(std::move(cfg));
   if (p.chaos != nullptr) p.chaos->arm(sys);

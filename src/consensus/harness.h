@@ -92,9 +92,6 @@ struct Fig6Params {
   // Fault-injection adversary; armed on the system before start and chained
   // in front of the monitor listeners. Null disables.
   chaos::FaultInjector* chaos = nullptr;
-  // Event-queue back end (determinism cross-checks swap in the reference
-  // heap; results are bit-identical either way).
-  QueueKind queue = QueueKind::kCalendar;
   // Shard count for the conservative-synchronization engine; results are
   // bit-identical at any value. Forced back to 1 when chaos / monitor /
   // window_qos are present — those seams assume a single execution thread.
@@ -235,7 +232,6 @@ struct Fig8FullStackParams {
   // net::ReliableLinkEmulator around the injector — own the link seam while
   // `chaos` keeps its other roles (crash effectors, trigger listeners).
   LinkInterposer* link_interposer = nullptr;
-  QueueKind queue = QueueKind::kCalendar;  // as in Fig6Params
   // As in Fig6Params; additionally forced to 1 by `link_interposer`.
   std::size_t shards = 1;
 };

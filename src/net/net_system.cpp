@@ -3,6 +3,7 @@
 #include "obs/profiler.h"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 #include <stdexcept>
 
@@ -12,10 +13,15 @@ namespace hds::net {
 
 namespace {
 using Clock = std::chrono::steady_clock;
-}
 
-// The local process: mailbox (time-ordered) and dispatch thread (handlers,
-// timers and queries run only here).
+// Datagrams read per loop turn before the other stages get a turn; a
+// flooding peer then delays timers and sends by one bounded drain at most.
+constexpr int kMaxRecvPerTurn = 256;
+}  // namespace
+
+// The local process and its time-ordered mailbox (handlers, timers and
+// queries). The loop thread dispatches; query()/crash() reach the mailbox
+// from other threads under mu_.
 class NetSystem::Node {
  public:
   explicit Node(NetSystem& sys) : sys_(sys), env_(*this) {}
@@ -24,24 +30,37 @@ class NetSystem::Node {
   [[nodiscard]] bool installed() const { return proc_ != nullptr; }
 
   // on_start is enqueued at `front` (the system's epoch, which precedes
-  // every possible delivery timestamp) BEFORE the thread spins up, so
-  // frames that arrived during the peer barrier dispatch after it.
+  // every possible delivery timestamp) as dispatch opens, so frames that
+  // arrived during the peer barrier dispatch after it. Queued under the
+  // same lock that opens dispatch, so the loop never sees one without the
+  // other.
   void start(Clock::time_point front) {
-    enqueue(front, Task{[this](Process& p, Env& e) {
-      sys_.note_start();
-      HDS_PROF_SCOPE(obs::ProfSubsystem::kFdStep);
-      p.on_start(e);
-    }});
-    thread_ = std::jthread([this](std::stop_token st) { run(st); });
-  }
-
-  void crash() {
     {
       std::lock_guard lk(mu_);
-      crashed_ = true;
-      queue_ = {};
+      queue_.push(Item{front, seq_++, Task{[this](Process& p, Env& e) {
+                         sys_.note_start();
+                         HDS_PROF_SCOPE(obs::ProfSubsystem::kFdStep);
+                         p.on_start(e);
+                       }}});
+      started_ = true;
     }
-    cv_.notify_all();
+    sys_.waker_.notify();
+  }
+
+  // Drops every queued task without the loop's help: a query waiting in the
+  // mailbox gets its broken promise even while a handler holds the loop.
+  void crash() {
+    std::lock_guard lk(mu_);
+    crashed_ = true;
+    queue_ = {};
+  }
+
+  // After the loop has exited nothing dispatches again: fail the queued
+  // queries and refuse new tasks, as a crash does.
+  void close() {
+    std::lock_guard lk(mu_);
+    closed_ = true;
+    queue_ = {};
   }
 
   [[nodiscard]] bool crashed() const {
@@ -49,8 +68,9 @@ class NetSystem::Node {
     return crashed_;
   }
 
-  bool deliver(Clock::time_point at, std::shared_ptr<const Message> m) {
-    return enqueue(at, Task{[this, m = std::move(m)](Process& p, Env& e) {
+  // Loop thread only (a delivery is due at once; the loop runs it next).
+  void deliver(Clock::time_point at, std::shared_ptr<const Message> m) {
+    enqueue(at, Task{[this, m = std::move(m)](Process& p, Env& e) {
       sys_.note_causal_delivery(*m);
       HDS_PROF_SCOPE(obs::ProfSubsystem::kFdStep);
       p.on_message(e, *m);
@@ -58,22 +78,28 @@ class NetSystem::Node {
     }});
   }
 
+  // Any thread.
   bool post(std::function<void(Process&)> fn) {
-    return enqueue(Clock::now(), Task{[fn = std::move(fn)](Process& p, Env&) { fn(p); }});
-  }
-
-  void request_stop() {
-    {
-      // Under mu_, so run() cannot miss the request between its check and
-      // its wait (a lost wakeup would hang the join).
-      std::lock_guard lk(mu_);
-      thread_.request_stop();
+    if (!enqueue(Clock::now(), Task{[fn = std::move(fn)](Process& p, Env&) { fn(p); }})) {
+      return false;
     }
-    cv_.notify_all();
+    sys_.waker_.notify();
+    return true;
   }
 
-  void join() {
-    if (thread_.joinable()) thread_.join();
+  // Loop thread: runs every task due at `now` (none before start() or after
+  // a crash) and returns the earliest instant a queued task falls due.
+  Clock::time_point run_due(Clock::time_point now) {
+    std::unique_lock lk(mu_);
+    while (started_ && !crashed_ && !queue_.empty() && queue_.top().at <= now) {
+      // top() is const; the task is popped right after the move.
+      Task task = std::move(const_cast<Item&>(queue_.top()).task);
+      queue_.pop();
+      lk.unlock();
+      task.run(*proc_, env_);
+      lk.lock();
+    }
+    return started_ && !crashed_ && !queue_.empty() ? queue_.top().at : Clock::time_point::max();
   }
 
  private:
@@ -100,7 +126,7 @@ class NetSystem::Node {
     void broadcast(Message m) override { node_.sys_.broadcast_from_self(m); }
     TimerId set_timer(SimTime delay) override {
       const TimerId id = node_.next_timer_++;
-      // Arming happens on the node thread, so this reads the lineage of the
+      // Arming happens on the loop thread, so this reads the lineage of the
       // event the handler is currently dispatching.
       const std::uint64_t armed_parent = node_.sys_.causal_.parent;
       node_.enqueue(Clock::now() + std::chrono::milliseconds(delay),
@@ -118,47 +144,22 @@ class NetSystem::Node {
   };
 
   bool enqueue(Clock::time_point at, Task task) {
-    {
-      std::lock_guard lk(mu_);
-      if (crashed_) return false;
-      queue_.push(Item{at, seq_++, std::move(task)});
-    }
-    cv_.notify_all();
+    std::lock_guard lk(mu_);
+    if (crashed_ || closed_) return false;
+    queue_.push(Item{at, seq_++, std::move(task)});
     return true;
-  }
-
-  void run(std::stop_token st) {
-    for (;;) {
-      Task task;
-      {
-        std::unique_lock lk(mu_);
-        for (;;) {
-          if (st.stop_requested() || crashed_) return;
-          if (!queue_.empty()) {
-            const auto at = queue_.top().at;
-            if (at <= Clock::now()) break;
-            cv_.wait_until(lk, at);
-          } else {
-            cv_.wait(lk);
-          }
-        }
-        task = queue_.top().task;
-        queue_.pop();
-      }
-      task.run(*proc_, env_);
-    }
   }
 
   NetSystem& sys_;
   NodeEnv env_;
   std::unique_ptr<Process> proc_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::priority_queue<Item, std::vector<Item>, Later> queue_;
   std::uint64_t seq_ = 0;
   TimerId next_timer_ = 1;
+  bool started_ = false;
   bool crashed_ = false;
-  std::jthread thread_;
+  bool closed_ = false;
 };
 
 // Frames accumulating toward one destination; deadline is armed when the
@@ -203,7 +204,7 @@ NetSystem::NetSystem(NetConfig cfg)
     m_batch_bytes_ = &metrics_->histogram("udp_batch_bytes", obs::exp_buckets(64, 65536));
   }
 
-  sock_.open(peers_[self_].ep, cfg.recv_timeout_ms);
+  sock_.open(peers_[self_].ep);
   peers_[self_].ep.port = sock_.local_port();  // resolve an ephemeral bind
 
   heard_from_.assign(peers_.size(), false);
@@ -222,9 +223,7 @@ NetSystem::NetSystem(NetConfig cfg)
   }
 
   node_ = std::make_unique<Node>(*this);
-  recv_thread_ = std::thread([this] { recv_loop(); });
-  send_thread_ = std::thread([this] { sender_loop(); });
-  if (rel_ != nullptr) rel_thread_ = std::thread([this] { rel_loop(); });
+  loop_thread_ = std::thread([this] { loop(); });
 }
 
 NetSystem::~NetSystem() { stop(); }
@@ -245,7 +244,7 @@ void NetSystem::set_process(std::unique_ptr<Process> p) {
 
 void NetSystem::set_interposer(LinkInterposer* li) {
   if (started_) throw std::logic_error("NetSystem: set_interposer after start");
-  interposer_ = li;
+  interposer_.store(li);
 }
 
 bool NetSystem::await_peers(std::chrono::milliseconds timeout) {
@@ -289,7 +288,9 @@ void NetSystem::crash() { node_->crash(); }
 bool NetSystem::is_crashed() const { return node_->crashed(); }
 
 void NetSystem::post_task(std::function<void(Process&)> task) {
-  if (!node_->post(std::move(task))) throw std::runtime_error("NetSystem::query: node crashed");
+  if (!node_->post(std::move(task))) {
+    throw std::runtime_error("NetSystem::query: node crashed or stopped");
+  }
 }
 
 void NetSystem::note_delivered() {
@@ -350,7 +351,7 @@ void NetSystem::broadcast_from_self(const Message& m) {
     frame = encode_frame(builtin_codecs(), stamped, self_, peers_[self_].id);
   } catch (const CodecError&) {
     // A body with no registered codec cannot cross a socket; count every
-    // copy as lost rather than killing the node thread (configuration bug,
+    // copy as lost rather than killing the loop thread (configuration bug,
     // visible in stats, analogous to an MTU blackhole).
     std::lock_guard lk(stats_mu_);
     ++stats_.broadcasts;
@@ -361,73 +362,64 @@ void NetSystem::broadcast_from_self(const Message& m) {
   }
   const SimTime sent_ms = stamped.meta_sent_at;
   const auto now = Clock::now();
-  std::uint64_t sent = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t duplicated = 0;
+  CopyTally tally;
   for (ProcIndex to = 0; to < peers_.size(); ++to) {
     // With reliability on, each destination gets its own sequenced wrap of
     // the shared inner frame; the interposer then judges the first
     // transmission attempt (a drop is recovered by the retransmit timer —
     // loss injection sits below the ARQ, like a lossy wire).
-    std::vector<std::uint8_t> wrapped;
-    const std::vector<std::uint8_t>* wirep = &frame;
     if (rel_ != nullptr) {
-      wrapped = rel_->wrap_data(to, stamped.type, frame, now);
-      wirep = &wrapped;
-    }
-    const std::vector<std::uint8_t>& wire = *wirep;
-    CopyVerdict verdict;
-    if (interposer_ != nullptr) verdict = interposer_->on_copy(sent_ms, self_, to, stamped.type);
-    if (verdict.drop) {
-      ++dropped;
-      obs::inc(m_copies_lost_link_);
-      continue;
-    }
-    enqueue_send(now + std::chrono::milliseconds(verdict.extra_delay), to, wire);
-    ++sent;
-    for (std::size_t dup = 0; dup < verdict.duplicates; ++dup) {
-      SimTime trail = 1;
-      if (verdict.duplicate_spread > 0) {
-        std::lock_guard lk(rng_mu_);
-        trail = rng_.uniform(1, verdict.duplicate_spread);
-      }
-      enqueue_send(now + std::chrono::milliseconds(verdict.extra_delay + trail), to, wire);
-      ++sent;
-      ++duplicated;
-      obs::inc(m_copies_duplicated_);
+      send_copy(to, stamped.type, sent_ms, now, rel_->wrap_data(to, stamped.type, frame, now), tally);
+    } else {
+      send_copy(to, stamped.type, sent_ms, now, frame, tally);
     }
   }
-  if (rel_ != nullptr) rel_cv_.notify_all();  // new in-flight deadlines
   {
     std::lock_guard lk(stats_mu_);
     ++stats_.broadcasts;
     ++broadcasts_by_tag_[tag_of(stamped.type)];
-    stats_.copies_sent += sent;
-    stats_.copies_lost_link += dropped;
-    stats_.copies_duplicated += duplicated;
+    stats_.copies_sent += tally.sent;
+    stats_.copies_lost_link += tally.dropped;
+    stats_.copies_duplicated += tally.duplicated;
   }
   obs::inc(m_broadcasts_);
 }
 
-void NetSystem::enqueue_send(Clock::time_point at, ProcIndex to, std::vector<std::uint8_t> frame) {
-  {
-    std::lock_guard lk(send_mu_);
-    send_queue_.push_back(SendItem{at, send_seq_++, to, std::move(frame)});
-    std::push_heap(send_queue_.begin(), send_queue_.end(), [](const SendItem& a, const SendItem& b) {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    });
+void NetSystem::send_copy(ProcIndex to, MsgType type, SimTime sent_ms, Clock::time_point now,
+                          const std::vector<std::uint8_t>& wire, CopyTally& tally) {
+  CopyVerdict verdict;
+  if (LinkInterposer* li = interposer_.load(); li != nullptr) {
+    verdict = li->on_copy(sent_ms, self_, to, type);
   }
-  send_cv_.notify_all();
+  if (verdict.drop) {
+    ++tally.dropped;
+    obs::inc(m_copies_lost_link_);
+    return;
+  }
+  enqueue_send(now + std::chrono::milliseconds(verdict.extra_delay), to, wire);
+  ++tally.sent;
+  for (std::size_t dup = 0; dup < verdict.duplicates; ++dup) {
+    const SimTime trail =
+        verdict.duplicate_spread > 0 ? rng_.uniform(1, verdict.duplicate_spread) : 1;
+    enqueue_send(now + std::chrono::milliseconds(verdict.extra_delay + trail), to, wire);
+    ++tally.sent;
+    ++tally.duplicated;
+    obs::inc(m_copies_duplicated_);
+  }
 }
 
-void NetSystem::send_control(std::uint8_t tag, ProcIndex to) {
-  send_control(tag, to, std::vector<std::uint8_t>{});
+void NetSystem::enqueue_send(Clock::time_point at, ProcIndex to, std::vector<std::uint8_t> frame) {
+  send_queue_.push_back(SendItem{at, send_seq_++, to, std::move(frame)});
+  std::push_heap(send_queue_.begin(), send_queue_.end(), std::greater<>{});
 }
 
 void NetSystem::send_control(std::uint8_t tag, ProcIndex to, const std::vector<std::uint8_t>& body) {
   BatchWriter w;
   w.add(encode_control_frame(tag, self_, peers_[self_].id, body));
-  const auto datagram = w.take();
+  send_datagram(to, w.take());
+}
+
+bool NetSystem::send_datagram(ProcIndex to, const std::vector<std::uint8_t>& datagram) {
   UdpEndpoint ep;
   {
     std::lock_guard lk(ep_mu_);
@@ -437,144 +429,95 @@ void NetSystem::send_control(std::uint8_t tag, ProcIndex to, const std::vector<s
     HDS_PROF_SCOPE(obs::ProfSubsystem::kUdpSend);
     return sock_.send_to(ep, datagram.data(), datagram.size());
   }();
-  std::lock_guard lk(stats_mu_);
   if (ok) {
+    std::lock_guard lk(stats_mu_);
     ++stats_.packets_sent;
     stats_.bytes_sent += datagram.size();
     obs::inc(m_packets_sent_);
     obs::inc(m_bytes_sent_, datagram.size());
   }
+  return ok;
 }
 
-void NetSystem::sender_loop() {
-  const auto later = [](const SendItem& a, const SendItem& b) {
-    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-  };
-  std::unique_lock lk(send_mu_);
-  for (;;) {
-    const auto now = Clock::now();
-    // Move due frames into their destination batch; a full batch (or any
-    // batch when batching is off) flushes immediately.
-    while (!send_queue_.empty() && send_queue_.front().at <= now) {
-      std::pop_heap(send_queue_.begin(), send_queue_.end(), later);
-      SendItem item = std::move(send_queue_.back());
-      send_queue_.pop_back();
-      PendingBatch& b = *pending_[item.to];
-      if (b.w.empty()) b.deadline = now + std::chrono::milliseconds(flush_interval_ms_);
-      b.w.add(item.frame);
-      if (!batching_ || b.w.wire_size() >= max_batch_bytes_) flush_batch(item.to);
-    }
-    for (ProcIndex to = 0; to < pending_.size(); ++to) {
-      if (!pending_[to]->w.empty() && pending_[to]->deadline <= now) flush_batch(to);
-    }
-    if (stop_flag_.load(std::memory_order_relaxed)) {
-      // Best-effort final flush so a crash-free shutdown loses nothing.
-      for (ProcIndex to = 0; to < pending_.size(); ++to) {
-        if (!pending_[to]->w.empty()) flush_batch(to);
-      }
-      return;
-    }
-    // Sleep until the next due frame or batch deadline, whichever first.
-    std::optional<Clock::time_point> wake;
-    if (!send_queue_.empty()) wake = send_queue_.front().at;
-    for (const auto& b : pending_) {
-      if (!b->w.empty() && (!wake || b->deadline < *wake)) wake = b->deadline;
-    }
-    if (wake) {
-      send_cv_.wait_until(lk, *wake);
-    } else {
-      send_cv_.wait(lk);
-    }
+// The node's only thread. One turn: wait for the socket, a wakeup or the
+// earliest due instant; drain the socket; run due mailbox tasks; move due
+// frames into batches and flush; run the ARQ timer once it is due.
+// next_deadline() is read once per turn: every deadline is armed on this
+// thread, so the next turn's wait sees whatever this turn armed.
+void NetSystem::loop() {
+  auto node_due = Clock::time_point::max();
+  while (!stop_flag_.load(std::memory_order_relaxed)) {
+    const auto rel_due =
+        rel_ != nullptr ? rel_->next_deadline().value_or(Clock::time_point::max())
+                        : Clock::time_point::max();
+    if (sock_.wait(waker_, std::min({node_due, next_send_instant(), rel_due}))) receive_ready();
+    node_due = node_->run_due(Clock::now());
+    send_due(Clock::now());
+    if (const auto now = Clock::now(); rel_due <= now) dispatch_rel_sends(rel_->tick(now));
+  }
+  // Best-effort final flush so a crash-free shutdown loses nothing.
+  send_due(Clock::now());
+  for (ProcIndex to = 0; to < pending_.size(); ++to) {
+    if (!pending_[to]->w.empty()) flush_batch(to);
   }
 }
 
-// Called with send_mu_ held. The sendto happens under the lock: on loopback
-// it is a microsecond-scale non-blocking copy, and keeping it inside makes
-// the (batch -> stats) update atomic with respect to flushes.
+// Moves due frames into their destination batch; a full batch (or any batch
+// when batching is off) flushes immediately, the rest at their deadline.
+void NetSystem::send_due(Clock::time_point now) {
+  while (!send_queue_.empty() && send_queue_.front().at <= now) {
+    std::pop_heap(send_queue_.begin(), send_queue_.end(), std::greater<>{});
+    SendItem item = std::move(send_queue_.back());
+    send_queue_.pop_back();
+    PendingBatch& b = *pending_[item.to];
+    if (b.w.empty()) b.deadline = now + std::chrono::milliseconds(flush_interval_ms_);
+    b.w.add(item.frame);
+    if (!batching_ || b.w.wire_size() >= max_batch_bytes_) flush_batch(item.to);
+  }
+  for (ProcIndex to = 0; to < pending_.size(); ++to) {
+    if (!pending_[to]->w.empty() && pending_[to]->deadline <= now) flush_batch(to);
+  }
+}
+
+// The next due frame or batch deadline, whichever comes first.
+Clock::time_point NetSystem::next_send_instant() const {
+  auto wake = send_queue_.empty() ? Clock::time_point::max() : send_queue_.front().at;
+  for (const auto& b : pending_) {
+    if (!b->w.empty()) wake = std::min(wake, b->deadline);
+  }
+  return wake;
+}
+
 void NetSystem::flush_batch(ProcIndex to) {
   PendingBatch& b = *pending_[to];
   const std::size_t frames = b.w.frames();
   const auto datagram = b.w.take();
-  UdpEndpoint ep;
-  {
-    std::lock_guard lk(ep_mu_);
-    ep = peers_.at(to).ep;
-  }
-  const bool ok = [&] {
-    HDS_PROF_SCOPE(obs::ProfSubsystem::kUdpSend);
-    return sock_.send_to(ep, datagram.data(), datagram.size());
-  }();
-  std::lock_guard lk(stats_mu_);
-  if (ok) {
-    ++stats_.packets_sent;
-    stats_.bytes_sent += datagram.size();
-    obs::inc(m_packets_sent_);
-    obs::inc(m_bytes_sent_, datagram.size());
+  if (send_datagram(to, datagram)) {
     obs::observe(m_batch_frames_, static_cast<std::int64_t>(frames));
     obs::observe(m_batch_bytes_, static_cast<std::int64_t>(datagram.size()));
   } else {
+    std::lock_guard lk(stats_mu_);
     stats_.copies_lost_link += frames;
     obs::inc(m_copies_lost_link_, frames);
   }
 }
 
-void NetSystem::rel_loop() {
-  using namespace std::chrono_literals;
-  while (!stop_flag_.load(std::memory_order_relaxed)) {
-    {
-      std::unique_lock lk(rel_wake_mu_);
-      const auto next = rel_->next_deadline();
-      // Cap the sleep so deadlines armed between next_deadline() and the
-      // wait (or missed notifies) are picked up promptly.
-      const auto cap = Clock::now() + 50ms;
-      rel_cv_.wait_until(lk, next && *next < cap ? *next : cap);
-    }
-    if (stop_flag_.load(std::memory_order_relaxed)) return;
-    dispatch_rel_sends(rel_->tick(Clock::now()));
-  }
-}
-
-void NetSystem::dispatch_rel_sends(std::vector<RelSend> sends) {
+void NetSystem::dispatch_rel_sends(const std::vector<RelSend>& sends) {
   if (sends.empty()) return;
   const auto now = Clock::now();
-  const SimTime now_ms_v = now_ms();
-  std::uint64_t sent = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t duplicated = 0;
-  for (RelSend& s : sends) {
-    CopyVerdict verdict;
-    if (interposer_ != nullptr) verdict = interposer_->on_copy(now_ms_v, self_, s.to, s.type);
-    if (verdict.drop) {
-      ++dropped;
-      obs::inc(m_copies_lost_link_);
-      continue;
-    }
-    for (std::size_t copy = 0; copy <= verdict.duplicates; ++copy) {
-      SimTime trail = 0;
-      if (copy > 0) {
-        trail = 1;
-        if (verdict.duplicate_spread > 0) {
-          std::lock_guard lk(rng_mu_);
-          trail = rng_.uniform(1, verdict.duplicate_spread);
-        }
-        ++duplicated;
-        obs::inc(m_copies_duplicated_);
-      }
-      enqueue_send(now + std::chrono::milliseconds(verdict.extra_delay + trail), s.to, s.frame);
-      ++sent;
-    }
-  }
+  const SimTime sent_ms = now_ms();
+  CopyTally tally;
+  for (const RelSend& s : sends) send_copy(s.to, s.type, sent_ms, now, s.frame, tally);
   std::lock_guard lk(stats_mu_);
-  stats_.copies_sent += sent;
-  stats_.copies_lost_link += dropped;
-  stats_.copies_duplicated += duplicated;
+  stats_.copies_sent += tally.sent;
+  stats_.copies_lost_link += tally.dropped;
+  stats_.copies_duplicated += tally.duplicated;
 }
 
-void NetSystem::recv_loop() {
-  std::vector<std::uint8_t> buf;
-  while (!stop_flag_.load(std::memory_order_relaxed)) {
-    const auto n = sock_.recv(buf);
-    if (!n) continue;  // poll timeout; re-check the stop flag
+void NetSystem::receive_ready() {
+  for (int i = 0; i < kMaxRecvPerTurn; ++i) {
+    const auto n = sock_.try_recv(recv_buf_);
+    if (!n) return;
     HDS_PROF_SCOPE(obs::ProfSubsystem::kUdpRecv);
     {
       std::lock_guard lk(stats_mu_);
@@ -584,7 +527,7 @@ void NetSystem::recv_loop() {
     obs::inc(m_packets_received_);
     obs::inc(m_bytes_received_, *n);
     try {
-      for (const FrameView& f : split_batch(buf.data(), *n)) handle_frame(f.data, f.len);
+      for (const FrameView& f : split_batch(recv_buf_.data(), *n)) handle_frame(f.data, f.len);
     } catch (const CodecError&) {
       std::lock_guard lk(stats_mu_);
       ++stats_.decode_errors;
@@ -630,7 +573,6 @@ void NetSystem::handle_frame(const std::uint8_t* data, std::size_t len) {
         }
         if (ack) {
           rel_->on_ack(from, ack->ack_epoch, ack->ack_cum, ack->ack_bits, Clock::now());
-          rel_cv_.notify_all();  // the in-flight set (and deadlines) shrank
         }
         break;
       }
@@ -672,7 +614,6 @@ void NetSystem::handle_frame(const std::uint8_t* data, std::size_t len) {
       for (Message& rm : ready) {
         node_->deliver(now, std::make_shared<const Message>(std::move(rm)));
       }
-      rel_cv_.notify_all();  // a delayed ack may now be armed
       return;
     }
     // A plain (unsequenced) frame from a reliability-off peer falls
@@ -729,19 +670,12 @@ std::uint64_t NetSystem::trace_dropped() {
 void NetSystem::stop() {
   if (stopped_) return;
   stopped_ = true;
-  node_->request_stop();
-  node_->join();
-  {
-    // Under send_mu_, so the sender cannot miss the flag between its check
-    // and an unbounded wait (a lost wakeup would hang the join).
-    std::lock_guard lk(send_mu_);
-    stop_flag_.store(true, std::memory_order_relaxed);
-  }
-  send_cv_.notify_all();
-  rel_cv_.notify_all();
-  if (rel_thread_.joinable()) rel_thread_.join();
-  if (send_thread_.joinable()) send_thread_.join();
-  if (recv_thread_.joinable()) recv_thread_.join();
+  // The wakeup is an eventfd count, so it holds even if the loop is between
+  // its flag check and its wait.
+  stop_flag_.store(true, std::memory_order_relaxed);
+  waker_.notify();
+  if (loop_thread_.joinable()) loop_thread_.join();
+  node_->close();
   sock_.close();
 }
 

@@ -6,20 +6,22 @@
 // cluster of hds_node daemons and an in-process test cluster use identical
 // code.
 //
-// Concurrency discipline: the local process's state is touched only by its
-// node thread; query() posts a closure into the node mailbox and waits.
-// Three internal threads (four with reliability on):
-//   - node:   time-ordered mailbox dispatch (handlers, timers, queries);
-//   - recv:   recvfrom -> split_batch -> decode_frame -> mailbox;
-//   - sender: per-destination batching (flush on size or time budget),
-//             plus interposer-injected delays and duplicates;
-//   - rel:    ARQ retransmission/ack timer (only when reliability is on).
+// Concurrency discipline: one thread per node, started by the constructor.
+// It is an event loop that waits on the socket and a wake fd until the
+// earliest due instant, then in order: drains the socket (split_batch ->
+// decode_frame -> ARQ -> mailbox), runs the due mailbox tasks (handlers,
+// timers, queries; none before start()), moves due frames into their
+// per-destination batches and flushes the full or expired ones, and runs
+// the ARQ timer when it is due. Every piece of protocol, send-queue, RNG and
+// ARQ state is therefore touched by that thread alone. Other threads reach
+// the node only through query()/crash() (the mailbox lock; query() posts a
+// closure and waits) and the locked counter, trace and barrier surfaces.
 //
 // Startup barrier: UDP gives no retransmission and several stacks (Fig. 8)
 // tolerate zero message loss, so a datagram fired at a peer whose socket is
 // not yet bound would wedge the run. await_peers() exchanges HELLO /
 // HELLO-ACK control frames until every peer has been heard from; call it
-// after construction (the socket binds and the recv thread starts in the
+// after construction (the socket binds and the loop starts in the
 // constructor) and before start().
 //
 // Reliability: cfg.reliability.enabled routes every data frame through a
@@ -81,11 +83,9 @@ struct NetConfig {
   bool batching = true;
   SimTime flush_interval_ms = 1;
   std::size_t max_batch_bytes = 1400;
-  // recvfrom poll timeout; bounds shutdown latency, not delivery latency.
-  int recv_timeout_ms = 50;
   obs::MetricsRegistry* metrics = nullptr;
   // ARQ layer (net/reliable.h). Disabled by default: frames stay
-  // byte-identical to plain v1 and no rel thread is spawned.
+  // byte-identical to plain v1.
   RelConfig reliability;
   // Incarnation number of this process; > 0 switches the startup barrier to
   // REJOIN probes and makes peers flush this node's per-link ARQ state.
@@ -116,8 +116,8 @@ struct NetNetworkStats {
 class NetSystem {
  public:
   // Binds the socket (throws std::system_error on failure) and starts the
-  // recv + sender threads. peers[self].ep.port == 0 binds an ephemeral
-  // port, reported by local_port() — the in-process test pattern.
+  // event loop. peers[self].ep.port == 0 binds an ephemeral port, reported
+  // by local_port() — the in-process test pattern.
   explicit NetSystem(NetConfig cfg);
   ~NetSystem();
 
@@ -144,17 +144,18 @@ class NetSystem {
   // HELLO probes the whole time. Returns false on timeout.
   bool await_peers(std::chrono::milliseconds timeout);
 
-  // Starts the node thread and delivers on_start. Messages received before
-  // start() queue up and are dispatched after on_start.
+  // Opens mailbox dispatch with on_start. Messages received before start()
+  // queue up and are dispatched after on_start.
   void start();
 
   // Crashes the LOCAL process (remote crashes are remote kill -9).
   void crash();
   [[nodiscard]] bool is_crashed() const;
 
-  // Runs `fn` on the node thread against the local process and returns the
+  // Runs `fn` on the loop thread against the local process and returns the
   // result. Blocks until executed; throws std::runtime_error once the node
-  // has crashed, including when it crashes while the query is queued.
+  // has crashed or stopped, including when that happens while the query is
+  // queued.
   template <typename F>
   auto query(F&& fn) -> decltype(fn(std::declval<Process&>())) {
     using R = decltype(fn(std::declval<Process&>()));
@@ -173,7 +174,7 @@ class NetSystem {
     try {
       return fut.get();
     } catch (const std::future_error&) {
-      throw std::runtime_error("NetSystem::query: node crashed");
+      throw std::runtime_error("NetSystem::query: node crashed or stopped");
     }
   }
 
@@ -200,7 +201,7 @@ class NetSystem {
   // cluster launcher uses it to rebase per-node traces onto one timeline.
   [[nodiscard]] std::int64_t epoch_wall_us() const { return epoch_wall_us_; }
 
-  // Stops and joins all three threads; closes the socket. Idempotent.
+  // Stops and joins the loop thread; closes the socket. Idempotent.
   void stop();
 
  private:
@@ -213,34 +214,51 @@ class NetSystem {
     std::uint64_t seq = 0;
     ProcIndex to = 0;
     std::vector<std::uint8_t> frame;
+    // std::greater<> over this keeps the earliest item on top of the heap.
+    friend bool operator>(const SendItem& a, const SendItem& b) {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
   };
 
   void post_task(std::function<void(Process&)> task);
   void note_delivered();
-  // Causal hooks, called on the node thread only (the only dispatch
+  // Causal hooks, called on the loop thread only (the only dispatch
   // context): see causal_ below.
   void note_start();
   void note_timer_fire(std::uint64_t armed_parent);
   void note_causal_delivery(const Message& m);
   void broadcast_from_self(const Message& m);
+  // Outcomes of the copies one broadcast or one batch of ARQ sends put out.
+  struct CopyTally {
+    std::uint64_t sent = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t duplicated = 0;
+  };
+  // Judges one outgoing copy with the interposer and queues it, plus the
+  // duplicates the verdict asks for.
+  void send_copy(ProcIndex to, MsgType type, SimTime sent_ms,
+                 std::chrono::steady_clock::time_point now, const std::vector<std::uint8_t>& wire,
+                 CopyTally& tally);
   void flush_batch(ProcIndex to);
+  // Sends one datagram to peer `to`; counts it when the kernel took it.
+  bool send_datagram(ProcIndex to, const std::vector<std::uint8_t>& datagram);
   void enqueue_send(std::chrono::steady_clock::time_point at, ProcIndex to,
                     std::vector<std::uint8_t> frame);
-  void send_control(std::uint8_t tag, ProcIndex to);
-  void send_control(std::uint8_t tag, ProcIndex to, const std::vector<std::uint8_t>& body);
-  void recv_loop();
-  void sender_loop();
-  void rel_loop();
+  void send_control(std::uint8_t tag, ProcIndex to, const std::vector<std::uint8_t>& body = {});
+  void loop();
+  void receive_ready();
+  void send_due(std::chrono::steady_clock::time_point now);
+  [[nodiscard]] std::chrono::steady_clock::time_point next_send_instant() const;
   // Runs each ARQ output (retransmission / standalone ack) through the
-  // interposer and the send queue; callable from any thread.
-  void dispatch_rel_sends(std::vector<RelSend> sends);
+  // interposer and the send queue.
+  void dispatch_rel_sends(const std::vector<RelSend>& sends);
   void handle_frame(const std::uint8_t* data, std::size_t len);
   [[nodiscard]] SimTime now_ms() const;
 
   ProcIndex self_;
   // ids are immutable after construction; the endpoints may be rewired by
-  // set_peer_endpoint() while the recv thread is already acking, so
-  // endpoint reads on send paths go through ep_mu_.
+  // set_peer_endpoint() while the loop is already acking, so endpoint reads
+  // on send paths go through ep_mu_.
   std::vector<NetPeer> peers_;
   mutable std::mutex ep_mu_;
   bool batching_;
@@ -249,19 +267,22 @@ class NetSystem {
   std::chrono::steady_clock::time_point epoch_;
   std::int64_t epoch_wall_us_ = 0;
 
-  // Causal state is written only by the node thread (broadcast, delivery,
+  // Causal state is written only by the loop thread (broadcast, delivery,
   // timer and start dispatch all happen there); the trace ring is written by
-  // the node thread and drained by telemetry callers under trace_mu_.
+  // the loop thread and drained by telemetry callers under trace_mu_.
   obs::CausalSession causal_;
   mutable std::mutex trace_mu_;
   TraceLog trace_{0};
 
   UdpSocket sock_;
+  Waker waker_;
+  std::vector<std::uint8_t> recv_buf_;
 
-  std::mutex rng_mu_;
-  Rng rng_;
+  Rng rng_;  // duplicate trails; loop thread only
 
-  LinkInterposer* interposer_ = nullptr;
+  // Set before start() by the caller, read by the loop (which may already
+  // be acking and retransmitting).
+  std::atomic<LinkInterposer*> interposer_{nullptr};
 
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* m_broadcasts_ = nullptr;
@@ -280,16 +301,14 @@ class NetSystem {
   NetNetworkStats stats_;  // broadcasts_by_type is filled in by net_stats()
   std::array<std::uint64_t, 256> broadcasts_by_tag_{};  // under stats_mu_
 
-  // Peer barrier state (recv thread writes, await_peers reads).
+  // Peer barrier state (the loop writes, await_peers reads).
   std::mutex peers_mu_;
   std::condition_variable peers_cv_;
   std::vector<bool> heard_from_;
 
-  // Sender state: a time-ordered frame queue plus per-destination pending
-  // batches with flush deadlines.
+  // Send state, loop thread only: a time-ordered frame queue plus
+  // per-destination pending batches with flush deadlines.
   struct PendingBatch;
-  std::mutex send_mu_;
-  std::condition_variable send_cv_;
   std::vector<std::unique_ptr<PendingBatch>> pending_;  // one slot per peer
   std::uint64_t send_seq_ = 0;
   std::vector<SendItem> send_queue_;  // heap ordered by (at, seq)
@@ -299,13 +318,9 @@ class NetSystem {
   // every rel branch, keeping the off configuration byte-identical).
   std::unique_ptr<ReliableChannel> rel_;
   std::uint64_t epoch_num_ = 0;
-  std::mutex rel_wake_mu_;
-  std::condition_variable rel_cv_;
 
   std::unique_ptr<Node> node_;
-  std::thread recv_thread_;
-  std::thread send_thread_;
-  std::thread rel_thread_;
+  std::thread loop_thread_;
   bool started_ = false;
   bool stopped_ = false;
 };

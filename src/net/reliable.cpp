@@ -322,7 +322,8 @@ void ReliableChannel::on_ack(ProcIndex from, std::uint64_t ack_epoch, std::uint6
     s.window.pop_front();
   }
   for (Inflight& f : s.window) {
-    if (f.sacked || f.seq <= ack_cum || f.seq > ack_cum + 64) continue;
+    if (f.seq > ack_cum + 64) break;  // ascending seqs: no later frame is covered
+    if (f.sacked || f.seq <= ack_cum) continue;
     if ((ack_bits >> (f.seq - ack_cum - 1) & 1) != 0) {
       f.sacked = true;
       ++st_.acked;

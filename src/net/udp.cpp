@@ -2,10 +2,13 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <system_error>
@@ -30,6 +33,18 @@ sockaddr_in to_sockaddr(const UdpEndpoint& ep) {
 }
 
 }  // namespace
+
+Waker::Waker() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (fd_ < 0) fail("Waker: eventfd");
+}
+
+Waker::~Waker() { ::close(fd_); }
+
+void Waker::notify() {
+  const std::uint64_t one = 1;
+  // Can only fail when the counter would overflow, i.e. a wakeup is pending.
+  (void)!::write(fd_, &one, sizeof one);
+}
 
 UdpSocket::~UdpSocket() { close(); }
 
@@ -96,6 +111,35 @@ std::optional<std::size_t> UdpSocket::recv_from(std::vector<std::uint8_t>& buf, 
   if (inet_ntop(AF_INET, &peer.sin_addr, host, sizeof(host)) != nullptr) from.host = host;
   from.port = ntohs(peer.sin_port);
   return static_cast<std::size_t>(n);
+}
+
+std::optional<std::size_t> UdpSocket::try_recv(std::vector<std::uint8_t>& buf) {
+  if (fd_ < 0) return std::nullopt;
+  if (buf.size() < 64 * 1024) buf.resize(64 * 1024);
+  const ssize_t n = ::recvfrom(fd_, buf.data(), buf.size(), MSG_DONTWAIT, nullptr, nullptr);
+  if (n < 0) return std::nullopt;  // nothing queued, or a transient error
+  return static_cast<std::size_t>(n);
+}
+
+bool UdpSocket::wait(Waker& waker, std::chrono::steady_clock::time_point deadline) {
+  pollfd fds[2] = {{fd_, POLLIN, 0}, {waker.fd_, POLLIN, 0}};
+  timespec ts{};
+  timespec* timeout = nullptr;
+  if (deadline != std::chrono::steady_clock::time_point::max()) {
+    const auto ns = std::max<std::int64_t>(
+        0, std::chrono::duration_cast<std::chrono::nanoseconds>(
+               deadline - std::chrono::steady_clock::now())
+               .count());
+    ts.tv_sec = static_cast<time_t>(ns / 1'000'000'000);
+    ts.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+    timeout = &ts;
+  }
+  if (::ppoll(fds, 2, timeout, nullptr) <= 0) return false;  // deadline, or a signal
+  if ((fds[1].revents & POLLIN) != 0) {
+    std::uint64_t count = 0;
+    (void)!::read(waker.fd_, &count, sizeof count);
+  }
+  return (fds[0].revents & POLLIN) != 0;
 }
 
 }  // namespace hds::net

@@ -1,9 +1,11 @@
 // Minimal POSIX UDP socket wrapper (IPv4), enough for the cluster
-// substrate: bind, sendto, recvfrom-with-timeout. Throws std::system_error
-// on setup failures; data-path errors are returned, not thrown (a dropped
-// datagram is a normal event for this transport).
+// substrate: bind, sendto, recvfrom-with-timeout, and a readiness wait that
+// another thread can interrupt (the NetSystem event loop). Throws
+// std::system_error on setup failures; data-path errors are returned, not
+// thrown (a dropped datagram is a normal event for this transport).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -16,6 +18,23 @@ struct UdpEndpoint {
   std::uint16_t port = 0;
 
   friend bool operator==(const UdpEndpoint&, const UdpEndpoint&) = default;
+};
+
+// Interrupts UdpSocket::wait from any thread (an eventfd). Notifications
+// coalesce: any number of notify() calls before the waiter runs wake it once.
+class Waker {
+ public:
+  Waker();  // throws std::system_error
+  ~Waker();
+
+  Waker(const Waker&) = delete;
+  Waker& operator=(const Waker&) = delete;
+
+  void notify();
+
+ private:
+  friend class UdpSocket;
+  int fd_ = -1;
 };
 
 class UdpSocket {
@@ -44,6 +63,17 @@ class UdpSocket {
   // Same, also reporting the sender — for request/response services (the
   // admin channel) that must address a reply.
   std::optional<std::size_t> recv_from(std::vector<std::uint8_t>& buf, UdpEndpoint& from);
+
+  // Non-blocking: one pending datagram, or nullopt when none is queued.
+  // `buf` is grown to 64 KiB once and never shrunk; the datagram occupies
+  // its first (returned) bytes.
+  std::optional<std::size_t> try_recv(std::vector<std::uint8_t>& buf);
+
+  // Blocks until a datagram is readable, `waker` is notified, or `deadline`
+  // passes (time_point::max() waits without a deadline), at nanosecond
+  // resolution. Consumes the notification; returns whether a datagram is
+  // readable.
+  bool wait(Waker& waker, std::chrono::steady_clock::time_point deadline);
 
  private:
   int fd_ = -1;

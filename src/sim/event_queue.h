@@ -1,35 +1,28 @@
-// Event queues for the discrete-event scheduler.
+// The discrete-event scheduler's event queue.
 //
-// Both back ends realize the same deterministic total order — events pop in
-// (time, lane) order, where the lane is a provenance key (sim/lane.h) that
-// is a pure function of the configuration rather than of push order. That
-// is what lets a sharded run (sim/system.h with shards > 1) reproduce the
-// single-queue order exactly: every shard sorts its own subsequence by the
-// same global key. The golden-trace test pins bit-identity across back ends
-// and shard counts.
+// Events pop in (time, lane) order, where the lane is a provenance key
+// (sim/lane.h) that is a pure function of the configuration rather than of
+// push order. That is what lets a sharded run (sim/system.h with shards >
+// 1) reproduce the single-queue order exactly: every shard sorts its own
+// subsequence by the same global key. The golden-trace tests pin
+// bit-identity across shard counts, and a binary-heap oracle in the tests
+// (tests/support/binary_heap_queue.h) pins the pop order.
 //
-//  - CalendarQueue (default): a bucketed calendar / bucket queue. A ring of
-//    kSlots buckets covers the time window [base, base + kSlots); each
-//    in-window tick maps to exactly one bucket holding {lane, action} items.
-//    Items append in push order and the bucket lazily sorts by lane the
-//    first time the tick is drained (appends in ascending lane — the common
-//    monotone-counter case — keep the sorted flag and skip the sort).
-//    Events beyond the window park in a sorted overflow map and migrate
-//    into the ring when the window advances. push/pop stay O(1) amortized
-//    for the near-future events that dominate simulation workloads, and the
-//    bucket vectors recycle their capacity, so the steady state allocates
-//    nothing.
-//  - BinaryHeapQueue: the original std::priority_queue back end, kept as
-//    the executable reference for determinism cross-checks and the speedup
-//    benchmark. Orders by (time, lane, push seq) — the push seq only breaks
-//    ties between identical lanes, which the lane scheme never produces
-//    within one queue.
+// CalendarQueue is a bucketed calendar / bucket queue. A ring of kSlots
+// buckets covers the time window [base, base + kSlots); each in-window tick
+// maps to exactly one bucket holding {lane, action} items. Items append in
+// push order and the bucket lazily sorts by lane the first time the tick is
+// drained (appends in ascending lane — the common monotone-counter case —
+// keep the sorted flag and skip the sort). Events beyond the window park in
+// a sorted overflow map and migrate into the ring when the window advances.
+// push/pop stay O(1) amortized for the near-future events that dominate
+// simulation workloads, and the bucket vectors recycle their capacity, so
+// the steady state allocates nothing.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <queue>
 #include <vector>
 
 #include "common/action.h"
@@ -152,48 +145,6 @@ class CalendarQueue {
   SimTime cursor_ = 0;          // current scan position (absolute time)
   std::size_t window_count_ = 0;  // pending events inside the window
   std::size_t size_ = 0;
-};
-
-// Reference back end: binary heap over (time, lane, push seq).
-class BinaryHeapQueue {
- public:
-  [[nodiscard]] bool empty() const { return queue_.empty(); }
-  [[nodiscard]] std::size_t size() const { return queue_.size(); }
-
-  void push(SimTime t, Lane lane, Action fn) {
-    queue_.push(Ev{t, lane, next_seq_++, std::move(fn)});
-  }
-
-  [[nodiscard]] SimTime next_time() const { return queue_.top().at; }
-
-  Action pop(SimTime& t, Lane& lane) {
-    // priority_queue::top() is const; the action is move-only, so cast away
-    // const for the extraction (the element is popped immediately after).
-    Ev& top = const_cast<Ev&>(queue_.top());
-    t = top.at;
-    lane = top.lane;
-    Action out = std::move(top.fn);
-    queue_.pop();
-    return out;
-  }
-
- private:
-  struct Ev {
-    SimTime at;
-    Lane lane;
-    std::uint64_t seq;
-    Action fn;
-  };
-  struct Later {
-    bool operator()(const Ev& a, const Ev& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      if (a.lane != b.lane) return a.lane > b.lane;
-      return a.seq > b.seq;
-    }
-  };
-
-  std::priority_queue<Ev, std::vector<Ev>, Later> queue_;
-  std::uint64_t next_seq_ = 0;
 };
 
 }  // namespace hds

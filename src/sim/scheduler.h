@@ -8,10 +8,7 @@
 // scheduler FIFO counter, which preserves the old same-tick scheduling-order
 // semantics exactly.
 //
-// The queue is a bucketed calendar queue by default (see event_queue.h);
-// the original binary-heap back end stays available behind QueueKind so
-// determinism tests and the engine benchmark can cross-check the two —
-// both realize the identical event order.
+// The queue is a bucketed calendar queue (see event_queue.h).
 #pragma once
 
 #include <cstdint>
@@ -23,25 +20,13 @@
 
 namespace hds {
 
-enum class QueueKind : std::uint8_t {
-  kCalendar,  // bucketed calendar queue (default)
-  kHeap,      // reference std::priority_queue back end
-};
-
 class Scheduler {
  public:
   using Action = hds::Action;
 
-  explicit Scheduler(QueueKind kind = QueueKind::kCalendar) : kind_(kind) {}
-
-  [[nodiscard]] QueueKind queue_kind() const { return kind_; }
   [[nodiscard]] SimTime now() const { return now_; }
-  [[nodiscard]] bool empty() const {
-    return kind_ == QueueKind::kCalendar ? calendar_.empty() : heap_.empty();
-  }
-  [[nodiscard]] std::size_t pending() const {
-    return kind_ == QueueKind::kCalendar ? calendar_.size() : heap_.size();
-  }
+  [[nodiscard]] bool empty() const { return calendar_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return calendar_.size(); }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   // Lane of the event currently executing (valid during a step() dispatch).
@@ -50,9 +35,7 @@ class Scheduler {
   [[nodiscard]] Lane current_lane() const { return current_lane_; }
 
   // Time of the earliest pending event. Precondition: !empty().
-  [[nodiscard]] SimTime next_time() {
-    return kind_ == QueueKind::kCalendar ? calendar_.next_time() : heap_.next_time();
-  }
+  [[nodiscard]] SimTime next_time() { return calendar_.next_time(); }
 
   // Schedules `fn` at absolute time t (>= now) on an external FIFO lane.
   void at(SimTime t, Action fn);
@@ -85,9 +68,7 @@ class Scheduler {
   void run_all(std::uint64_t max_events = UINT64_MAX);
 
  private:
-  QueueKind kind_;
   CalendarQueue calendar_;
-  BinaryHeapQueue heap_;
   SimTime now_ = 0;
   Lane current_lane_ = 0;
   std::uint64_t ext_seq_ = 0;  // FIFO sequencer for external-lane events

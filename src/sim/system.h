@@ -66,10 +66,6 @@ struct SystemConfig {
   // Observability sink; null disables metric collection entirely (the
   // network and the node environments then never touch an instrument).
   obs::MetricsRegistry* metrics = nullptr;
-  // Event-queue back end. kCalendar is the fast default; kHeap is the
-  // reference implementation kept for determinism cross-checks (both give
-  // bit-identical runs — see the golden-trace test).
-  QueueKind queue = QueueKind::kCalendar;
   // Worker shards the run is partitioned across (clamped to [1, n]). Any
   // value produces the same bytes; > 1 adds parallelism.
   std::size_t shards = 1;
@@ -157,7 +153,7 @@ class System {
     Scheduler sched;
     TraceSink sink;
     std::unique_ptr<Network> net;
-    ShardState(QueueKind kind, TraceLog* log) : sched(kind), sink(log) {}
+    explicit ShardState(TraceLog* log) : sink(log) {}
   };
 
   void deliver(std::size_t shard, ProcIndex to, const std::shared_ptr<const Message>& m);

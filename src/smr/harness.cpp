@@ -42,7 +42,6 @@ SmrSimResult run_smr_sim(const SmrSimParams& p) {
   cfg.seed = p.seed;
   cfg.trace_capacity = p.trace_capacity;
   cfg.metrics = p.metrics;
-  cfg.queue = p.queue;
   // The oracle substrate samples sys.now() from inside dispatch (only
   // meaningful single-threaded), and chaos / interposer seams are
   // unsynchronized — all of those force one shard.

@@ -1,7 +1,8 @@
 // The hot-path rework's safety net: the calendar queue, the SBO Action, the
 // broadcast fan-out grouping, and the parallel experiment engine must all be
-// invisible — a run is a pure function of its config, bit-identical across
-// queue back ends and across -j. These tests pin that contract.
+// invisible — a run is a pure function of its config, the calendar queue
+// pops in the reference heap's order, and results are bit-identical across
+// -j. These tests pin that contract.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,9 +18,11 @@
 #include "obs/profiler.h"
 #include "obs/qos.h"
 #include "obs/window_qos.h"
-#include "sim/scheduler.h"
+#include "sim/event_queue.h"
+#include "sim/lane.h"
 #include "sim/system.h"
 #include "smr/harness.h"
+#include "support/binary_heap_queue.h"
 
 namespace hds {
 namespace {
@@ -79,12 +82,18 @@ TEST(Action, MoveTransfersInlineState) {
 
 // ------------------------------------------------- queue order equivalence
 
-// Drives both queue back ends through the same adversarial schedule —
-// same-tick FIFO runs, events scheduling into the current tick, and
-// far-future times past the calendar window — and requires the identical
-// execution sequence.
-std::vector<std::pair<SimTime, int>> drive_schedule(QueueKind kind, std::uint64_t seed) {
-  Scheduler sched(kind);
+// Drives a queue through an adversarial schedule — same-tick FIFO runs,
+// events scheduling into the current tick, and far-future times past the
+// calendar window — the way Scheduler does (external lanes numbered in push
+// order), and returns the execution sequence.
+template <typename Queue>
+std::vector<std::pair<SimTime, int>> drive_schedule(std::uint64_t seed) {
+  Queue queue;
+  SimTime now = 0;
+  std::uint64_t pushes = 0;
+  const auto after = [&](SimTime delay, Action fn) {
+    queue.push(now + delay, make_lane(LaneClass::kExternal, 0, pushes++), std::move(fn));
+  };
   Rng rng(seed);
   std::vector<std::pair<SimTime, int>> order;
   int tag = 0;
@@ -93,25 +102,29 @@ std::vector<std::pair<SimTime, int>> drive_schedule(QueueKind kind, std::uint64_
   for (int k = 0; k < 400; ++k) {
     const SimTime at = rng.chance(0.1) ? rng.uniform(2000, 50'000) : rng.uniform(0, 60);
     const int id = tag++;
-    sched.at(at, [&order, &sched, &rng, &tag, id] {
-      order.emplace_back(sched.now(), id);
+    after(at, [&order, &now, &after, &rng, &tag, id] {
+      order.emplace_back(now, id);
       // Half the events fan out further work, some into the *current* tick
       // (exercising push-behind-cursor) and some past the window.
       if (order.size() < 3000 && rng.chance(0.5)) {
         const SimTime d = rng.chance(0.2) ? 0 : rng.uniform(1, 1500);
         const int id2 = tag++;
-        sched.after(d, [&order, &sched, id2] { order.emplace_back(sched.now(), id2); });
+        after(d, [&order, &now, id2] { order.emplace_back(now, id2); });
       }
     });
   }
-  sched.run_all();
+  while (!queue.empty()) {
+    Lane lane = 0;
+    Action fn = queue.pop(now, lane);
+    fn();
+  }
   return order;
 }
 
 TEST(QueueEquivalence, CalendarMatchesHeapOrder) {
   for (const std::uint64_t seed : {1ull, 7ull, 99ull, 12345ull}) {
-    const auto cal = drive_schedule(QueueKind::kCalendar, seed);
-    const auto heap = drive_schedule(QueueKind::kHeap, seed);
+    const auto cal = drive_schedule<CalendarQueue>(seed);
+    const auto heap = drive_schedule<BinaryHeapQueue>(seed);
     ASSERT_GT(cal.size(), 400u);
     EXPECT_EQ(cal, heap) << "divergence at seed " << seed;
   }
@@ -143,7 +156,7 @@ struct RunFingerprint {
   NetworkStats stats;
 };
 
-RunFingerprint run_pinger_system(QueueKind kind, std::size_t trace_capacity = 1 << 16) {
+RunFingerprint run_pinger_system(std::size_t trace_capacity) {
   obs::MetricsRegistry reg;
   SystemConfig cfg;
   cfg.ids = {1, 2, 2, 3, 3, 3};
@@ -154,7 +167,6 @@ RunFingerprint run_pinger_system(QueueKind kind, std::size_t trace_capacity = 1 
   cfg.seed = 424242;
   cfg.trace_capacity = trace_capacity;
   cfg.metrics = &reg;
-  cfg.queue = kind;
   System sys(std::move(cfg));
   for (ProcIndex i = 0; i < 6; ++i) sys.set_process(i, std::make_unique<Pinger>());
   sys.start();
@@ -166,33 +178,12 @@ RunFingerprint run_pinger_system(QueueKind kind, std::size_t trace_capacity = 1 
   return fp;
 }
 
-TEST(GoldenTrace, SystemRunIsByteIdenticalAcrossQueueBackends) {
-  const RunFingerprint cal = run_pinger_system(QueueKind::kCalendar);
-  const RunFingerprint heap = run_pinger_system(QueueKind::kHeap);
-  // The full event log, every metric series, and every network counter —
-  // byte for byte.
-  EXPECT_EQ(cal.trace, heap.trace);
-  EXPECT_EQ(cal.metrics, heap.metrics);
-  EXPECT_EQ(cal.stats.broadcasts, heap.stats.broadcasts);
-  EXPECT_EQ(cal.stats.copies_sent, heap.stats.copies_sent);
-  EXPECT_EQ(cal.stats.copies_delivered, heap.stats.copies_delivered);
-  EXPECT_EQ(cal.stats.copies_lost_link, heap.stats.copies_lost_link);
-  EXPECT_EQ(cal.stats.copies_lost_dying_sender, heap.stats.copies_lost_dying_sender);
-  EXPECT_EQ(cal.stats.copies_to_dead, heap.stats.copies_to_dead);
-  EXPECT_EQ(cal.stats.bytes_sent, heap.stats.bytes_sent);
-  EXPECT_EQ(cal.stats.bytes_received, heap.stats.bytes_received);
-  EXPECT_EQ(cal.stats.latency_sum, heap.stats.latency_sum);
-  EXPECT_EQ(cal.stats.broadcasts_by_type, heap.stats.broadcasts_by_type);
-  ASSERT_GT(cal.stats.copies_delivered, 0u);
-  ASSERT_GT(cal.stats.bytes_sent, 0u);  // the byte meter metered
-}
-
 TEST(GoldenTrace, CausalTracingOnOffLeavesScheduleMetricsAndStatsIdentical) {
   // Causal stamping must be pure instrumentation: it never touches the RNG,
   // the queue, or the byte meter, so every metric series and every network
   // counter is byte-identical with the trace ring on or off.
-  const RunFingerprint on = run_pinger_system(QueueKind::kCalendar, 1 << 16);
-  const RunFingerprint off = run_pinger_system(QueueKind::kCalendar, 0);
+  const RunFingerprint on = run_pinger_system(1 << 16);
+  const RunFingerprint off = run_pinger_system(0);
   EXPECT_FALSE(on.trace.empty());
   EXPECT_TRUE(off.trace.empty());
   EXPECT_EQ(on.metrics, off.metrics);
@@ -259,26 +250,6 @@ TEST(GoldenTrace, MemoizedByteMeterMatchesFullCodecComputation) {
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(sys.net_stats().bytes_sent, 3 * *frame);
   EXPECT_EQ(sys.net_stats().bytes_received, 3 * *frame);
-}
-
-std::string fig6_qos_fingerprint(QueueKind kind) {
-  Fig6Params p;
-  p.ids = ids_homonymous(6, 3, 5);
-  p.crashes = crashes_last_k(6, 2, /*at=*/300, /*stagger=*/40);
-  p.net.gst = 500;
-  p.net.delta = 3;
-  p.net.pre_gst_loss = 0.2;
-  p.net.pre_gst_max_delay = 6;
-  p.seed = 5;
-  p.run_for = 2000;
-  p.collect_qos = true;
-  p.queue = kind;
-  const Fig6Result r = run_fig6(p);
-  return obs::qos_json(r.qos).dump(2);
-}
-
-TEST(GoldenTrace, Fig6QosJsonIsByteIdenticalAcrossQueueBackends) {
-  EXPECT_EQ(fig6_qos_fingerprint(QueueKind::kCalendar), fig6_qos_fingerprint(QueueKind::kHeap));
 }
 
 TEST(GoldenTrace, HealthPlaneOnOffLeavesScheduleMetricsAndQosIdentical) {

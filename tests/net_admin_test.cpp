@@ -108,11 +108,12 @@ TEST(AdminLoopback, ChunkLossConvergesViaRetriesWithoutRerunningHandler) {
   std::string big;
   while (big.size() < kAdminChunkBytes * 2 + 1) big += "payload-slice ";
   std::atomic<int> calls{0};
-  AdminServer server;
   // Drop the first time each (req, chunk index) goes out; retransmitted
-  // datagrams (second ask onward) pass.
+  // datagrams (second ask onward) pass. Declared before the server, whose
+  // thread runs the hook until the server is destroyed.
   std::mutex mu;
   std::set<std::pair<std::uint64_t, std::size_t>> sent_once;
+  AdminServer server;
   server.set_drop_hook([&](std::uint64_t req, std::size_t index) {
     std::lock_guard lk(mu);
     return sent_once.insert({req, index}).second;  // newly seen -> drop

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <latch>
 #include <memory>
@@ -145,7 +146,7 @@ TEST(NetSystem, TimersFire) {
 }
 
 TEST(NetSystem, QueryOnACrashingNodeThrows) {
-  // Query 1 holds the node thread on a latch while query 2 waits in the
+  // Query 1 holds the loop thread on a latch while query 2 waits in the
   // mailbox; the crash drops query 2 unrun, and its caller must get the
   // crash error instead of blocking forever.
   Cluster c({1});
@@ -170,6 +171,73 @@ TEST(NetSystem, QueryOnACrashingNodeThrows) {
   ASSERT_EQ(q2.wait_for(5s), std::future_status::ready) << "query 2 hangs after the crash";
   EXPECT_THROW(q2.get(), std::runtime_error);
   EXPECT_THROW(c.sys[0]->query([](Process&) {}), std::runtime_error);
+}
+
+TEST(NetSystem, QueryAfterStopThrows) {
+  // A stopped node never dispatches again; a query must fail, not wait.
+  Cluster c({1});
+  install_pings(c);
+  c.start_all();
+  c.sys[0]->stop();
+  EXPECT_THROW(c.sys[0]->query([](Process&) {}), std::runtime_error);
+  EXPECT_FALSE(c.sys[0]->is_crashed());
+}
+
+// Threads of this process, as the kernel lists them.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e : std::filesystem::directory_iterator("/proc/self/task")) ++n;
+  return n;
+}
+
+TEST(NetSystem, RunsOneThreadPerNode) {
+  // Receive, dispatch, batching and the ARQ timer share one event loop, so
+  // even a reliability-on node adds exactly one thread, from construction to
+  // stop(). ThreadSanitizer starts its own helper thread alongside the
+  // process's first extra thread; one throwaway thread puts it in the
+  // baseline.
+  std::thread([] {}).join();
+  const std::size_t before = thread_count();
+  Cluster c({1}, /*seed=*/1, /*batching=*/true, /*metrics=*/nullptr, /*reliable=*/true);
+  EXPECT_EQ(thread_count(), before + 1);
+  const auto procs = install_pings(c);
+  ASSERT_TRUE(c.barrier());
+  c.start_all();
+  ASSERT_TRUE(await_pings(*c.sys[0], *procs[0], 1));
+  EXPECT_EQ(thread_count(), before + 1);
+  c.sys[0]->stop();
+  // A joined thread can linger in the task list for an instant while the
+  // kernel reaps it.
+  EXPECT_TRUE(c.sys[0]->wait_for([&] { return thread_count() == before; }, 1s));
+}
+
+// Records on_start and every ALIVE delivery, in dispatch order.
+class DispatchLog : public Process {
+ public:
+  void on_start(Env&) override { events.emplace_back("start"); }
+  void on_message(Env&, const Message& m) override {
+    if (m.type == MsgType::kAlive) events.emplace_back("deliver");
+  }
+  std::vector<std::string> events;
+};
+
+TEST(NetSystem, FramesReceivedBeforeStartDispatchAfterOnStart) {
+  Cluster c({1, 2});
+  c.sys[0]->set_process(std::make_unique<PingProcess>());  // pings on start
+  auto log = std::make_unique<DispatchLog>();
+  const DispatchLog* probe = log.get();
+  c.sys[1]->set_process(std::move(log));
+  ASSERT_TRUE(c.barrier());
+  const std::uint64_t after_barrier = c.sys[1]->net_stats().packets_received;
+  c.sys[0]->start();
+  ASSERT_TRUE(c.sys[1]->wait_for(
+      [&] { return c.sys[1]->net_stats().packets_received > after_barrier; }, 5s));
+  EXPECT_EQ(c.sys[1]->net_stats().copies_delivered, 0u);  // queued, not dispatched
+
+  c.sys[1]->start();
+  const auto events = [&] { return c.sys[1]->query([&](Process&) { return probe->events; }); };
+  ASSERT_TRUE(c.sys[1]->wait_for([&] { return events().size() >= 2; }, 5s));
+  EXPECT_EQ(events(), (std::vector<std::string>{"start", "deliver"}));
 }
 
 TEST(NetSystem, CrashedNodeStopsReceiving) {
@@ -365,7 +433,7 @@ class DropFirstAttempt : public LinkInterposer {
 
 TEST(NetSystem, ReliabilityRecoversDroppedCopiesExactlyOnce) {
   constexpr std::size_t kN = 3;
-  // Declared first: the rel thread judges retransmissions until ~Cluster.
+  // Declared first: the loops judge retransmissions until ~Cluster.
   std::vector<DropFirstAttempt> drops(kN);
   Cluster c({1, 2, 3}, /*seed=*/11, /*batching=*/true, /*metrics=*/nullptr, /*reliable=*/true);
   for (std::size_t i = 0; i < kN; ++i) c.sys[i]->set_interposer(&drops[i]);

@@ -347,8 +347,8 @@ int run(const NodeOptions& o) {
   // polls. STATS is the Prometheus exposition of the full registry (window
   // QoS gauges refreshed first); STATUS is a JSON summary of FD/consensus
   // state. Handlers run on the admin thread; anything touching protocol
-  // state goes through sys.query, which is only safe once the node thread
-  // runs — before that, STATUS says so and skips the query.
+  // state goes through sys.query, which only returns once start() has
+  // opened dispatch — before that, STATUS says so and skips the query.
   std::atomic<bool> node_started{false};
   hds::net::AdminServer admin;
   const auto admin_handler = [&](const std::string& verb,
@@ -729,7 +729,7 @@ int run(const NodeOptions& o) {
     tele_thread.join();
     send_delta(sys.drain_trace(trace_cursor), true, metrics.to_json());
   }
-  // Admin goes down before the node thread: a STATUS mid-teardown must not
+  // Admin goes down before the node's loop: a STATUS mid-teardown must not
   // post a query the stopped loop would never answer.
   if (o.admin_listen) {
     result["admin_port"] = admin.port();
